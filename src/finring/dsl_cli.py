@@ -1128,9 +1128,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="also write the JSON report here")
     p_check.add_argument("--guard", type=int, default=None, metavar="N",
                          help="size guard for constructed rings")
-    p_check.add_argument("--seed", type=int, default=0, metavar="S",
-                         help="seed for randomized searches (current "
-                              "strategies are deterministic)")
 
     p_cat = sub.add_parser("catalog", help="emit a deterministic instance script")
     p_cat.add_argument("--seed", type=int, default=0, metavar="S")
@@ -1156,8 +1153,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         guard = args.guard if args.guard is not None else config.size_guard()
-        with config.guard_limit(guard):
-            reports = evaluate(script)
+        try:
+            with config.guard_limit(guard):
+                reports = evaluate(script)
+        except EvaluationError as exc:
+            print(f"error: {exc.message} at {exc.line}:{exc.col}", file=sys.stderr)
+            return 3
         _print_table(reports)
         if args.json:
             try:

@@ -84,6 +84,7 @@ class EvaluationError(FinringError):
     """A script definition could not be evaluated; carries the statement location."""
 
     def __init__(self, message: str, line: int, col: int):
+        self.message = message
         self.line = line
         self.col = col
         super().__init__(f"line {line}, col {col}: {message}")

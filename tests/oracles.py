@@ -165,3 +165,82 @@ def poly_mul_truncated(a_coeffs, b_coeffs, base_add, base_mul,
             if i + j <= max_deg:
                 out[i + j] = base_add[out[i + j]][base_mul[ca][cb]]
     return tuple(out)
+
+
+def _first(cases, bad):
+    """First case (in the given order) for which bad(*case) holds, or None."""
+    return next((c for c in cases if bad(*c)), None)
+
+
+def rng_violations(add, mul, zero: int, one, labels) -> list[tuple[str, tuple[str, ...]]]:
+    """Every violated rng axiom with its lexicographically first witness, by
+    full O(n^3) loops, in the order validate_rng reports them."""
+    n = len(add)
+    singles = [(x,) for x in range(n)]
+    pairs = list(product(range(n), repeat=2))
+    triples = list(product(range(n), repeat=3))
+    out = []
+
+    def note(axiom, w):
+        if w is not None:
+            out.append((axiom, tuple(labels[i] for i in w)))
+
+    note("add_commutative", _first(pairs, lambda i, j: add[i][j] != add[j][i]))
+    note("add_associative", _first(
+        triples, lambda i, j, k: add[add[i][j]][k] != add[i][add[j][k]]))
+    note("zero_neutral", _first(singles, lambda x: add[zero][x] != x))
+    note("add_inverse", _first(singles, lambda x: zero not in add[x]))
+    mul_comm = _first(pairs, lambda i, j: mul[i][j] != mul[j][i])
+    note("mul_commutative", mul_comm)
+    note("mul_associative", _first(
+        triples, lambda i, j, k: mul[mul[i][j]][k] != mul[i][mul[j][k]]))
+    left = _first(
+        triples, lambda a, x, y: mul[a][add[x][y]] != add[mul[a][x]][mul[a][y]])
+    note("distributive", left)
+    if left is None and mul_comm is not None:
+        note("distributive_right", _first(
+            triples,
+            lambda a, x, y: mul[add[x][y]][a] != add[mul[x][a]][mul[y][a]]))
+    if one is not None:
+        note("one_neutral", _first(singles, lambda x: mul[one][x] != x))
+    return out
+
+
+def module_violations(ring_add, ring_mul, ring_one, ring_labels,
+                      add, action, zero: int, labels) -> list[tuple[str, tuple[str, ...]]]:
+    """Every violated module axiom with its lexicographically first witness,
+    by full loops, in the order validate_module reports them. The scalar
+    ring is given by its tables."""
+    n, r = len(add), len(ring_add)
+    singles = [(x,) for x in range(n)]
+    pairs = list(product(range(n), repeat=2))
+    out = []
+
+    def note(axiom, w, *alphabets):
+        if w is not None:
+            out.append((axiom, tuple(ls[i] for ls, i in zip(alphabets, w))))
+
+    note("add_commutative", _first(pairs, lambda i, j: add[i][j] != add[j][i]),
+         labels, labels)
+    note("add_associative", _first(
+        product(range(n), repeat=3),
+        lambda i, j, k: add[add[i][j]][k] != add[i][add[j][k]]),
+        labels, labels, labels)
+    note("zero_neutral", _first(singles, lambda x: add[zero][x] != x), labels)
+    note("add_inverse", _first(singles, lambda x: zero not in add[x]), labels)
+    note("action_distributes_over_module_add", _first(
+        product(range(r), range(n), range(n)),
+        lambda a, x, y: action[a][add[x][y]] != add[action[a][x]][action[a][y]]),
+        ring_labels, labels, labels)
+    note("action_distributes_over_scalar_add", _first(
+        product(range(r), range(r), range(n)),
+        lambda a, b, x: action[ring_add[a][b]][x] != add[action[a][x]][action[b][x]]),
+        ring_labels, ring_labels, labels)
+    note("action_associative", _first(
+        product(range(r), range(r), range(n)),
+        lambda a, b, x: action[ring_mul[a][b]][x] != action[a][action[b][x]]),
+        ring_labels, ring_labels, labels)
+    if ring_one is not None:
+        note("one_acts_as_identity", _first(singles, lambda x: action[ring_one][x] != x),
+             labels)
+    return out

@@ -201,6 +201,27 @@ def test_cli_fail_report_is_exit_one(tmp_path, monkeypatch):
     assert main(["check", str(script)]) == 1
 
 
+def test_cli_crash_in_a_check_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
+    from finring import dsl_cli
+
+    def crash(vals, instance):
+        raise RuntimeError("boom")
+
+    spec = dsl_cli.REGISTRY["cardinality"]
+    monkeypatch.setitem(
+        dsl_cli.REGISTRY, "cardinality",
+        type(spec)(spec.name, spec.params, spec.variadic, spec.summary,
+                   spec.statement, crash),
+    )
+    script = tmp_path / "s.fr"
+    script.write_text("ring R = zmod(2);\n"
+                      "  check cardinality(dup(R, gen(R; 1)));\n")
+    assert main(["check", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: cardinality: boom at 2:3\n"
+    assert captured.out == ""
+
+
 def test_cli_guard_flag_limits_construction(tmp_path, capsys):
     script = tmp_path / "s.fr"
     script.write_text(

@@ -1,0 +1,199 @@
+"""Axiom validation: the generator reduction against the naive oracles, and
+the orders it makes reachable under the size guard."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import finring
+from finring import rings, subobjects
+from finring.amalgamation import duplication
+from finring.config import guard_limit
+from finring.errors import SizeGuardExceeded
+from finring.morphisms import RingHom, identity_hom
+from finring.reports import ValidationReport, Violation
+from finring.rings import (
+    FiniteRng,
+    direct_product,
+    galois_field,
+    trunc_poly,
+    validate_rng,
+    zmod,
+)
+from finring.subobjects import (
+    FiniteModule,
+    ideal_from_generators,
+    module_via_hom,
+    validate_module,
+)
+
+from oracles import module_violations, rng_violations
+
+Z2 = zmod(2)
+RINGS = [zmod(n) for n in range(1, 17)] + [galois_field(q) for q in (4, 8, 9, 16)] + [
+    direct_product([Z2, zmod(4)]),
+    direct_product([Z2] * 4),
+    trunc_poly(Z2, 1, 2),
+    trunc_poly(zmod(3), 1, 1),
+    trunc_poly(Z2, 2, 1),
+]
+
+
+def _unit_module(f: RingHom) -> FiniteModule:
+    return module_via_hom(f, ideal_from_generators(f.codomain, [f.codomain.one]))
+
+
+MODULES = [_unit_module(identity_hom(r)) for r in RINGS if r.order > 1][::3] + [
+    _unit_module(RingHom(zmod(8), zmod(4), np.arange(8) % 4)),
+    _unit_module(RingHom(Z2, galois_field(4), [0, 1])),
+    module_via_hom(identity_hom(zmod(12)), ideal_from_generators(zmod(12), [4])),
+    module_via_hom(identity_hom(RINGS[-4]), ideal_from_generators(RINGS[-4], ["(1,0,0,0)"])),
+]
+
+
+def _expected(subject: str, violations) -> str:
+    return str(ValidationReport(subject, tuple(Violation(a, w) for a, w in violations)))
+
+
+def _corrupt(data, tables: dict, n: int) -> None:
+    """Overwrite one or two cells of the named tables, mirrored or not."""
+    rows = {name: t.shape[0] for name, t in tables.items()}
+    mirror = data.draw(st.booleans(), label="mirror")
+    for _ in range(data.draw(st.integers(1, 2), label="cells")):
+        name = data.draw(st.sampled_from(sorted(tables)), label="table")
+        i = data.draw(st.integers(0, rows[name] - 1), label="i")
+        j = data.draw(st.integers(0, n - 1), label="j")
+        v = data.draw(st.integers(0, n - 1), label="value")
+        tables[name][i, j] = v
+        if mirror and i < n and j < rows[name]:
+            tables[name][j, i] = v
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_validate_rng_matches_naive_oracle_on_corrupted_tables(data):
+    base = data.draw(st.sampled_from(RINGS), label="ring")
+    tables = {"add": np.array(base.add), "mul": np.array(base.mul)}
+    _corrupt(data, tables, base.order)
+    X = FiniteRng(tables["add"], tables["mul"], base.zero, base.one, base.labels,
+                  name="X", check=False)
+    want = rng_violations(tables["add"].tolist(), tables["mul"].tolist(),
+                          base.zero, base.one, base.labels)
+    assert str(validate_rng(X)) == _expected("X", want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_validate_rng_matches_naive_oracle_on_random_tables(data):
+    # arbitrary magmas, most far from a group: covers the fallback paths
+    n = data.draw(st.integers(1, 5), label="n")
+    cell = st.integers(0, n - 1)
+    add = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                      min_size=n, max_size=n), label="add"))
+    mul = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                      min_size=n, max_size=n), label="mul"))
+    zero = data.draw(cell, label="zero")
+    one = data.draw(st.none() | cell, label="one")
+    labels = [f"e{i}" for i in range(n)]
+    X = FiniteRng(add, mul, zero, one, labels, name="X", check=False)
+    want = rng_violations(add.tolist(), mul.tolist(), zero, one, labels)
+    assert str(validate_rng(X)) == _expected("X", want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_validate_module_matches_naive_oracle_on_corrupted_tables(data):
+    base = data.draw(st.sampled_from(MODULES), label="module")
+    tables = {"add": np.array(base.add), "action": np.array(base.action)}
+    _corrupt(data, tables, base.order)
+    M = FiniteModule(ring=base.ring, order=base.order, add=tables["add"],
+                     zero=base.zero, labels=base.labels, action=tables["action"])
+    A = base.ring
+    want = module_violations(A.add.tolist(), A.mul.tolist(), A.one, A.labels,
+                             tables["add"].tolist(), tables["action"].tolist(),
+                             base.zero, base.labels)
+    assert str(validate_module(M)) == _expected("module", want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_validate_module_matches_naive_oracle_on_random_tables(data):
+    A = data.draw(st.sampled_from(RINGS[:5]), label="ring")
+    n = data.draw(st.integers(1, 4), label="n")
+    cell = st.integers(0, n - 1)
+    add = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                      min_size=n, max_size=n), label="add"))
+    action = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                         min_size=A.order, max_size=A.order),
+                                label="action"))
+    zero = data.draw(cell, label="zero")
+    labels = tuple(f"m{i}" for i in range(n))
+    M = FiniteModule(ring=A, order=n, add=add, zero=zero, labels=labels, action=action)
+    want = module_violations(A.add.tolist(), A.mul.tolist(), A.one, A.labels,
+                             add.tolist(), action.tolist(), zero, labels)
+    assert str(validate_module(M)) == _expected("module", want)
+
+
+def test_valid_structures_never_reach_the_witness_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("witness scan reached on a valid structure")
+
+    monkeypatch.setattr(rings, "_scan", scan)
+    monkeypatch.setattr(subobjects, "_scan", scan)
+    for r in RINGS + [direct_product([Z2] * 8), zmod(255)]:
+        assert validate_rng(r).ok
+    for m in MODULES:
+        assert validate_module(m).ok
+
+
+def test_additive_generators_are_greedy_and_logarithmic():
+    gens = rings._additive_generators
+    assert gens(zmod(12).add, 0).tolist() == [1]
+    assert gens(zmod(1).add, 0).tolist() == [0]
+    boolean = direct_product([Z2] * 4)
+    assert gens(boolean.add, boolean.zero).tolist() == [1, 2, 4, 8]  # log2 16
+    # zero is a generator only when the others cannot reach it
+    assert gens(np.array([[0, 1], [1, 1]]), 0).tolist() == [1, 0]
+    # x + y = max(x, y) is associative but no group: it needs every element
+    semilattice = np.maximum.outer(np.arange(4), np.arange(4))
+    assert gens(semilattice, 0) is None
+
+
+# -- orders the size guard admits -------------------------------------------------
+
+
+def test_order_1024_builds_and_validates():
+    assert validate_rng(zmod(1024)).ok
+    r = zmod(512)
+    am = duplication(r, ideal_from_generators(r, [256]))
+    assert am.ring.order == 1024
+
+
+def test_order_4096_builds_under_a_2_gib_address_space():
+    # The limit is set by the child on itself only.
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from finring import zmod; print(zmod(4096).order)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["4096"]
+
+
+def test_orders_above_the_guard_are_refused():
+    with pytest.raises(SizeGuardExceeded):
+        zmod(4097)
+    with guard_limit(8):
+        with pytest.raises(SizeGuardExceeded):
+            direct_product([Z2] * 4)
