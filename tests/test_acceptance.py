@@ -8,8 +8,10 @@ the unit test oracles.
 
 from __future__ import annotations
 
+import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from finring.rings import zmod
 from finring.subobjects import all_ideals, ideal_from_generators
 
 SEED, BUDGET = 0, 256
+GOLDEN = Path(__file__).parent / "golden" / "catalog_seed0_b256.json"
 
 _catalog_text = generate_catalog(SEED, BUDGET)
 _script = parse(_catalog_text)
@@ -252,3 +255,19 @@ def test_criterion_10_determinism_and_runtime():
     _criterion(10, ok,
                f"two runs agree byte for byte modulo timing; full catalog "
                f"of {len(REPORTS)} checks evaluated in {ELAPSED:.1f}s")
+
+
+def test_catalog_matches_golden_json():
+    """The stripped JSON of the standard catalog is frozen byte for byte;
+    a refactor that changes any verdict, witness or ordering shows here."""
+    actual = strip_timing(reports_to_json(REPORTS))
+    expected = GOLDEN.read_text()
+    if actual == expected:
+        return
+    got = json.loads(actual)["reports"]
+    want = json.loads(expected)["reports"]
+    for k, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            pytest.fail(f"report {k} ({w['check']}({w['instance']})) differs "
+                        f"from the golden file:\n  got  {g}\n  want {w}")
+    pytest.fail(f"report count differs: got {len(got)}, want {len(want)}")
