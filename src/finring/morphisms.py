@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import config
-from .errors import AmbientMismatch, InvalidParameter, MalformedMap, NotSurjective
+from .errors import AmbientMismatch, MalformedMap, NotSurjective
 from .reports import ValidationReport, Violation
 from .rings import Element, FiniteRng
-from .subobjects import Ideal, Subrng, subring_generated
+from .subobjects import Ideal, Subrng, min_generating_set, subring_generated
 
 
 class RingHom:
@@ -142,23 +141,8 @@ def image(f: RingHom) -> Subrng:
     return Subrng(f.codomain, mask)
 
 
-def graph_pairs(f: RingHom) -> np.ndarray:
-    """(a, f(a)) for every a, as an (n, 2) index array."""
-    n = f.domain.order
-    return np.stack([np.arange(n, dtype=np.int64), f.map], axis=1)
-
-
 def verify_iso(f: RingHom) -> bool:
     return f.is_bijective and validate_hom(f).ok
-
-
-def inverse_iso(f: RingHom) -> RingHom:
-    if not f.is_bijective:
-        raise InvalidParameter("hom is not bijective")
-    inv = np.empty(f.codomain.order, dtype=np.int64)
-    inv[f.map] = np.arange(f.domain.order)
-    return RingHom(f.codomain, f.domain, inv, unital=f.unital,
-                   name=f"inv({f.name})", check=False)
 
 
 def corestrict(f: RingHom, name: str | None = None) -> tuple[RingHom, RingHom]:
@@ -206,49 +190,25 @@ def first_iso_witness(h: RingHom) -> FirstIsoWitness:
 # -- generator machinery -----------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _generators_cached(ring: FiniteRng, include_one: bool) -> tuple[int, ...]:
-    base = subring_generated(ring, (), include_one=include_one)
-    if base.size == ring.order:
-        return ()
-    pool = [i for i in range(ring.order) if not base.members[i]]
-    budget = config.DEFAULT_SUBSET_BUDGET
-    tried = 0
-    for k in range(1, len(pool) + 1):
-        for comb in itertools.combinations(pool, k):
-            tried += 1
-            if tried > budget:
-                return _greedy_gens(ring, include_one, pool)
-            if subring_generated(ring, comb, include_one).size == ring.order:
-                return comb
-    raise InvalidParameter("ring does not generate itself")
-
-
-def _greedy_gens(ring: FiniteRng, include_one: bool, pool: list[int]) -> tuple[int, ...]:
-    chosen: list[int] = []
-    current = subring_generated(ring, chosen, include_one)
-    while current.size < ring.order:
-        best, best_size = None, -1
-        for x in pool:
-            if current.members[x]:
-                continue
-            size = subring_generated(ring, chosen + [x], include_one).size
-            if size > best_size:
-                best, best_size = x, size
-        chosen.append(best)
-        current = subring_generated(ring, chosen, include_one)
-    return tuple(chosen)
+def _generators(ring: FiniteRng, include_one: bool) -> tuple[int, ...]:
+    """Least generating set as a subrng over 1 (when include_one) or over
+    nothing, cached on the ring so that it lives exactly as long as the ring."""
+    if include_one not in ring._gens:
+        ring._gens[include_one] = min_generating_set(
+            lambda seed: subring_generated(ring, seed, include_one).members
+        ).indices
+    return ring._gens[include_one]
 
 
 def min_unital_generators(ring: FiniteRng) -> tuple[int, ...]:
     """Smallest generating set over the prime subring (1 comes for free)."""
     ring.require_one()
-    return _generators_cached(ring, True)
+    return _generators(ring, True)
 
 
 def rng_generators(ring: FiniteRng) -> tuple[int, ...]:
     """Smallest generating set as a rng (nothing comes for free)."""
-    return _generators_cached(ring, False)
+    return _generators(ring, False)
 
 
 def complete_hom(A: FiniteRng, B: FiniteRng, images: dict[int, int],
@@ -292,21 +252,6 @@ def complete_hom(A: FiniteRng, B: FiniteRng, images: dict[int, int],
     if (mapping < 0).any():
         return None
     return mapping
-
-
-def hom_from_images(A: FiniteRng, B: FiniteRng, images: dict, unital: bool = True,
-                    name: str | None = None) -> RingHom | None:
-    """Build the hom determined by generator images, validated, or None."""
-    idx_images = {}
-    for k, v in images.items():
-        ki = k.index if isinstance(k, Element) else (A.index_of(k) if isinstance(k, str) else int(k))
-        vi = v.index if isinstance(v, Element) else (B.index_of(v) if isinstance(v, str) else int(v))
-        idx_images[ki] = vi
-    mapping = complete_hom(A, B, idx_images, unital)
-    if mapping is None:
-        return None
-    f = RingHom(A, B, mapping, unital=unital, name=name, check=False)
-    return f if validate_hom(f).ok else None
 
 
 # -- invariants used to prune searches ----------------------------------------------

@@ -108,6 +108,7 @@ class FiniteRng:
         self._neg: np.ndarray | None = None
         self._nil: np.ndarray | None = None
         self._char: int | None = None
+        self._gens: dict[bool, tuple[int, ...]] = {}
         self._label_pos: dict[str, int] | None = None
         self._hash: int | None = None
         if check:
@@ -441,9 +442,13 @@ def zmod(n: int) -> FiniteRng:
         raise InvalidParameter("zmod needs n >= 1")
     if n > config.size_guard():
         raise SizeGuardExceeded(f"order {n} exceeds size guard {config.size_guard()}")
+    # filled block by block: a block of int64 keeps r*r exact at any guard
     r = np.arange(n, dtype=np.int64)
-    add = (r[:, None] + r[None, :]) % n
-    mul = (r[:, None] * r[None, :]) % n
+    add = np.empty((n, n), dtype=_TABLE_DTYPE)
+    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
+    for i0, i1 in _blocks(n):
+        add[i0:i1] = (r[i0:i1, None] + r) % n
+        mul[i0:i1] = (r[i0:i1, None] * r) % n
     one = 0 if n == 1 else 1
     labels = [str(i) for i in range(n)]
     return FiniteRng(add, mul, 0, one, labels, provenance="zmod", name=f"zmod({n})")

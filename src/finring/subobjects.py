@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import (
     AmbientMismatch,
     EmptySet,
     InvalidParameter,
-    MissingIdentity,
     NotMultiplicativelyClosed,
     SizeGuardExceeded,
 )
@@ -69,8 +69,11 @@ def _as_mask(ring: FiniteRng, members) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Ideal:
-    """An ideal of `ring`, stored as a boolean membership mask."""
+class MaskedSubset:
+    """A subset of `ring`, stored as a read-only boolean membership mask.
+
+    Equality and hashing compare ring and mask; subsets of different kinds
+    never compare equal, even on the same mask."""
 
     ring: FiniteRng
     members: np.ndarray
@@ -87,6 +90,27 @@ class Ideal:
     @property
     def size(self) -> int:
         return int(self.members.sum())
+
+    def contains(self, x) -> bool:
+        return bool(self.members[_as_index(self.ring, x)])
+
+    def labels(self) -> list[str]:
+        return [self.ring.labels[i] for i in self.indices]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.ring == other.ring and np.array_equal(self.members, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.members.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {self.ring.name}, size {self.size}>"
+
+
+class Ideal(MaskedSubset):
+    """An ideal of `ring`."""
 
     @property
     def is_zero(self) -> bool:
@@ -96,64 +120,31 @@ class Ideal:
     def is_unit(self) -> bool:
         return self.size == self.ring.order
 
-    def contains(self, x) -> bool:
-        return bool(self.members[_as_index(self.ring, x)])
 
-    def labels(self) -> list[str]:
-        return [self.ring.labels[i] for i in self.indices]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.ring == other.ring and np.array_equal(self.members, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.members.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"<Ideal of {self.ring.name}, size {self.size}>"
-
-
-@dataclass(frozen=True, eq=False)
-class Subrng:
-    """A subrng of `ring` (closed under + and *), stored as a mask."""
-
-    ring: FiniteRng
-    members: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.members, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "members", mask)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.members)
-
-    @property
-    def size(self) -> int:
-        return int(self.members.sum())
+class Subrng(MaskedSubset):
+    """A subrng of `ring` (closed under + and *)."""
 
     @property
     def has_one(self) -> bool:
         return self.ring.has_one and bool(self.members[self.ring.one])
 
-    def contains(self, x) -> bool:
-        return bool(self.members[_as_index(self.ring, x)])
 
-    def labels(self) -> list[str]:
-        return [self.ring.labels[i] for i in self.indices]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subrng):
-            return NotImplemented
-        return self.ring == other.ring and np.array_equal(self.members, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.members.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"<Subrng of {self.ring.name}, size {self.size}>"
+def _closure(order: int, seed, add: np.ndarray, mul: np.ndarray,
+             absorbing: bool) -> np.ndarray:
+    """Mask of the least set holding the `seed` indices and closed under the
+    additive table `add` and under products from `mul`: by every row of
+    `mul` when absorbing, else by members only. A finite set closed under +
+    is closed under negation too, so no separate negation step is needed."""
+    mask = np.zeros(order, dtype=bool)
+    mask[list(seed)] = True
+    while True:
+        idx = np.flatnonzero(mask)
+        new = mask.copy()
+        new[add[np.ix_(idx, idx)].ravel()] = True
+        new[(mul[:, idx] if absorbing else mul[np.ix_(idx, idx)]).ravel()] = True
+        if np.array_equal(new, mask):
+            return mask
+        mask = new
 
 
 # -- ideal construction and arithmetic -----------------------------------------
@@ -191,19 +182,8 @@ def ideal_from_members(ring: FiniteRng, members) -> Ideal:
 def ideal_from_generators(ring: FiniteRng, generators) -> Ideal:
     """Smallest ideal containing the generators: closure under addition,
     negation, and multiplication by arbitrary ring elements."""
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.zero] = True
-    for g in generators:
-        mask[_as_index(ring, g)] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[ring.neg_table()[idx]] = True
-        new[ring.add[np.ix_(idx, idx)].ravel()] = True
-        new[ring.mul[:, idx].ravel()] = True
-        if np.array_equal(new, mask):
-            return Ideal(ring, mask)
-        mask = new
+    seed = [ring.zero] + [_as_index(ring, g) for g in generators]
+    return Ideal(ring, _closure(ring.order, seed, ring.add, ring.mul, absorbing=True))
 
 
 def zero_ideal(ring: FiniteRng) -> Ideal:
@@ -280,7 +260,6 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     from .morphisms import RingHom
 
     reps, class_of = coset_representatives(ring, I)
-    m = reps.size
     add = class_of[ring.add[np.ix_(reps, reps)]]
     mul = class_of[ring.mul[np.ix_(reps, reps)]]
     zero = int(class_of[ring.zero])
@@ -315,31 +294,12 @@ def regular_elements_mod(ring: FiniteRng, I: Ideal) -> np.ndarray:
     m = reps.size
     if m == 1:
         return np.arange(ring.order)
-    add = class_of[ring.add[np.ix_(reps, reps)]]
     mul = class_of[ring.mul[np.ix_(reps, reps)]]
     zero = int(class_of[ring.zero])
     nonzero_cols = np.arange(m) != zero
     kills = (mul[:, nonzero_cols] == zero).any(axis=1)
     regular_class = ~kills & (np.arange(m) != zero)
     return np.flatnonzero(regular_class[class_of])
-
-
-def mult_closure(ring: FiniteRng, seed) -> np.ndarray:
-    """Multiplicative closure of the seed with 1 adjoined, sorted indices."""
-    one = ring.require_one()
-    members = {one}
-    members.update(_as_index(ring, x) for x in seed)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in list(members):
-                p = int(ring.mul[s, t])
-                if p not in members:
-                    members.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return np.array(sorted(members), dtype=np.int64)
 
 
 def localization(ring: FiniteRng, s_indices) -> tuple:
@@ -380,7 +340,6 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
     rep_idx = eq.argmax(axis=1)
     reps_sorted = np.unique(rep_idx)
     class_of_pair = np.searchsorted(reps_sorted, rep_idx)
-    m = reps_sorted.size
     rep_pairs = pairs[reps_sorted]
     ra, rs = rep_pairs[:, 0], rep_pairs[:, 1]
     lookup = np.full((ring.order, ring.order), -1, dtype=np.int64)
@@ -409,45 +368,27 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
 def subring_generated(ring: FiniteRng, seed, include_one: bool = True) -> Subrng:
     """Smallest subrng containing the seed (and 1 when include_one and the
     ambient ring is unital): closure under +, negation, and *."""
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.zero] = True
-    if include_one and ring.has_one:
-        mask[ring.one] = True
-    for g in seed:
-        mask[_as_index(ring, g)] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[ring.neg_table()[idx]] = True
-        new[ring.add[np.ix_(idx, idx)].ravel()] = True
-        new[ring.mul[np.ix_(idx, idx)].ravel()] = True
-        if np.array_equal(new, mask):
-            return Subrng(ring, mask)
-        mask = new
+    fixed = [ring.zero] + ([ring.one] if include_one and ring.has_one else [])
+    start = fixed + [_as_index(ring, g) for g in seed]
+    return Subrng(ring, _closure(ring.order, start, ring.add, ring.mul, absorbing=False))
+
+
+def _as_ring(sub: MaskedSubset, name: str, unital: bool):
+    from .morphisms import RingHom
+
+    idx = sub.indices
+    ring = restrict_to_subset(sub.ring, idx, "subring", name)
+    return ring, RingHom(ring, sub.ring, idx.astype(np.int64), unital=unital)
 
 
 def subrng_as_ring(sub: Subrng, name: str | None = None):
     """Materialize a subrng as a standalone ring plus the embedding hom."""
-    from .morphisms import RingHom
-
-    idx = sub.indices
-    ring = restrict_to_subset(
-        sub.ring, idx, "subring", name or f"sub({sub.ring.name},{sub.size})"
-    )
-    embed = RingHom(ring, sub.ring, idx.astype(np.int64), unital=sub.has_one)
-    return ring, embed
+    return _as_ring(sub, name or f"sub({sub.ring.name},{sub.size})", sub.has_one)
 
 
 def ideal_as_rng(I: Ideal, name: str | None = None):
     """Materialize an ideal as a standalone rng plus the (non-unital) embedding."""
-    from .morphisms import RingHom
-
-    idx = I.indices
-    ring = restrict_to_subset(
-        I.ring, idx, "subring", name or f"rng({I.ring.name},{I.size})"
-    )
-    embed = RingHom(ring, I.ring, idx.astype(np.int64), unital=False)
-    return ring, embed
+    return _as_ring(I, name or f"rng({I.ring.name},{I.size})", unital=False)
 
 
 def all_ideals(ring: FiniteRng, cap: int | None = None) -> list[Ideal]:
@@ -496,9 +437,6 @@ class FiniteModule:
         object.__setattr__(self, "add", add)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "labels", tuple(self.labels))
-
-    def neg_table(self) -> np.ndarray:
-        return np.argmax(self.add == self.zero, axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteModule):
@@ -609,25 +547,9 @@ def module_via_hom(f, J: Ideal) -> FiniteModule:
     return M
 
 
-def full_module(f) -> FiniteModule:
-    """f's codomain as a module over f's domain."""
-    return module_via_hom(f, unit_ideal(f.codomain))
-
-
 def submodule_generated(M: FiniteModule, seed) -> np.ndarray:
     """Membership mask of the submodule generated by seed positions."""
-    mask = np.zeros(M.order, dtype=bool)
-    mask[M.zero] = True
-    for x in seed:
-        mask[int(x)] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[M.add[np.ix_(idx, idx)].ravel()] = True
-        new[M.action[:, idx].ravel()] = True
-        if np.array_equal(new, mask):
-            return mask
-        mask = new
+    return _closure(M.order, [M.zero, *map(int, seed)], M.add, M.action, absorbing=True)
 
 
 @dataclass(frozen=True)
@@ -640,38 +562,43 @@ class GeneratorSearch:
         return [M.labels[i] for i in self.indices]
 
 
-def module_min_generators(M: FiniteModule) -> GeneratorSearch:
-    """A generating set of minimum size, by exhaustive subset search in
-    (size, lexicographic) order. If the search would evaluate more than the
-    subset budget it falls back to a greedy superset and says so via
-    minimal=False."""
-    if M.order == 1:
+def min_generating_set(generated: Callable[[Sequence[int]], np.ndarray]) -> GeneratorSearch:
+    """A generating set of minimum size, where generated(seed) is the mask of
+    what a seed generates. Seeds are drawn from the elements outside
+    generated(()) and tried exhaustively in (size, lexicographic) order. Past
+    the subset budget the search turns greedy, each round adding the element
+    that generates the most (the least index on ties), and says so via
+    minimal=False; `evaluations` counts every seed tried in both phases."""
+    base = generated(())
+    if base.all():
         return GeneratorSearch((), True, 0)
-    pool = [i for i in range(M.order) if i != M.zero]
+    pool = np.flatnonzero(~base).tolist()
     budget = config.DEFAULT_SUBSET_BUDGET
-    evaluations = 0
-    for k in range(1, len(pool) + 1):
-        for comb in itertools.combinations(pool, k):
-            evaluations += 1
-            if evaluations > budget:
-                return _greedy_generators(M, evaluations)
-            if submodule_generated(M, comb).all():
-                return GeneratorSearch(tuple(comb), True, evaluations)
-    raise InvalidParameter("module cannot be generated by its own elements")
-
-
-def _greedy_generators(M: FiniteModule, evaluations: int) -> GeneratorSearch:
+    seeds = itertools.chain.from_iterable(
+        itertools.combinations(pool, k) for k in range(1, len(pool) + 1)
+    )
+    for evaluations, comb in enumerate(itertools.islice(seeds, budget), 1):
+        if generated(comb).all():
+            return GeneratorSearch(comb, True, evaluations)
+    # The whole pool generates everything, so only the budget ends the loop
+    # here; the seed that crossed it counts as one evaluation.
+    evaluations = budget + 1
     chosen: list[int] = []
-    mask = submodule_generated(M, chosen)
+    mask = base
     while not mask.all():
         best, best_size = None, -1
-        for x in range(M.order):
+        for x in pool:
             if mask[x]:
                 continue
-            size = int(submodule_generated(M, chosen + [x]).sum())
+            size = int(generated(chosen + [x]).sum())
             evaluations += 1
             if size > best_size:
                 best, best_size = x, size
         chosen.append(best)
-        mask = submodule_generated(M, chosen)
+        mask = generated(chosen)
     return GeneratorSearch(tuple(chosen), False, evaluations)
+
+
+def module_min_generators(M: FiniteModule) -> GeneratorSearch:
+    """A generating set of M of minimum size (see `min_generating_set`)."""
+    return min_generating_set(lambda seed: submodule_generated(M, seed))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import finring.amalgamation
 from finring.amalgamation import (
     alt_pullback_checks,
     amalgam,
@@ -30,6 +31,7 @@ from finring.amalgamation import (
     same_amalgam,
     split_sequence_check,
 )
+from finring.dsl_cli import evaluate, parse
 from finring.errors import FinringError, HypothesisViolated, InvalidParameter
 from finring.morphisms import enumerate_homs, identity_hom, verify_iso
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -353,3 +355,17 @@ def test_dotted_sum_rejects_nonmodule_action():
     bad = np.zeros((4, 2), dtype=np.int64)  # 1 . x = 0 breaks unitality
     with pytest.raises(FinringError):
         dotted_sum(r, part, bad)
+
+
+def test_amalgam_builds_no_dotted_sum_until_asked(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dotted_sum called")
+
+    monkeypatch.setattr(finring.amalgamation, "dotted_sum", refuse)
+    r = zmod(8)
+    am = duplication(r, ideal_from_generators(r, [2]))
+    assert am.ring.order == 32
+    script = parse("ring R = zmod(8);\ncheck cardinality(dup(R, gen(R; 2)));\n")
+    (rep,) = evaluate(script)
+    assert rep.status == PASS
+    assert rep.witness("amalgam_order") == "32"

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import finring
 
 from finring.dsl_cli import (
     Evaluator,
@@ -269,3 +275,12 @@ def test_strip_timing_normalizes_reports():
     r1 = strip_timing(reports_to_json(evaluate(script)))
     r2 = strip_timing(reports_to_json(evaluate(script)))
     assert r1 == r2
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "finring", "explain", "cardinality"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("cardinality(")

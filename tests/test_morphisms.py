@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from finring.morphisms import (
     kernel,
     verify_iso,
 )
-from finring.rings import direct_product, galois_field, trunc_poly, zmod
+from finring.rings import direct_product, from_tables, galois_field, trunc_poly, zmod
 from finring.subobjects import ideal_from_generators, quotient_ring
 
 from oracles import all_homs_brute
@@ -98,6 +101,20 @@ def test_find_iso_between_isomorphic_presentations():
     search = find_iso(q, zmod(4))
     assert search.found
     assert verify_iso(search.hom)
+
+
+def test_find_iso_leaves_no_reference_to_its_rings():
+    # (Z2)^2 needs a generator beyond 1, so the search runs; labels no other
+    # test uses keep both rings distinct from every ring built before
+    z = direct_product([zmod(2), zmod(2)])
+    a, b = (from_tables(z.add, z.mul, z.zero, labels=[f"{c}{i}" for i in range(4)])
+            for c in "uv")
+    search = find_iso(a, b)
+    assert search.found and search.reason == "found by generator search"
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del a, b, search
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_find_iso_distinguishes_non_isomorphic_rings():

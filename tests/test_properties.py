@@ -6,13 +6,21 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from finring.amalgamation import (
+    amalgam,
     duplication,
     pull_identity_check,
     reduced_criterion_check,
     same_amalgam,
 )
 from finring.dsl_cli import parse
-from finring.morphisms import enumerate_homs, identity_hom, kernel
+from finring.morphisms import (
+    RingHom,
+    enumerate_homs,
+    identity_hom,
+    kernel,
+    validate_hom,
+    verify_iso,
+)
 from finring.reports import PASS
 from finring.rings import direct_product, zmod
 from finring.subobjects import (
@@ -145,11 +153,21 @@ def test_parse_render_round_trip_generated_scripts(name, n, gens):
 @settings(deadline=None, max_examples=15)
 @given(st.integers(min_value=2, max_value=8))
 def test_amalgam_kernels_of_projections(n):
+    # amalgam() builds its maps unchecked; the invariants its construction
+    # guarantees are checked here, along the identity (duplication) and along
+    # the non-identity reduction Z/2n -> Z/n
     r = zmod(n)
-    for ideal in all_ideals(r):
-        am = duplication(r, ideal)
-        k_left = kernel(am.proj_base)
-        assert k_left.size == ideal.size
-        k_right = kernel(am.proj_target)
-        # f is the identity here, so the preimage of J is J itself
-        assert k_right.size == ideal.size
+    reduction = RingHom(zmod(2 * n), r, np.arange(2 * n) % n)
+    for f in (identity_hom(r), reduction):
+        for ideal in all_ideals(r):
+            am = amalgam(f, ideal)
+            for m in (am.embed, am.proj_base, am.proj_target):
+                assert validate_hom(m).ok
+            assert am.ring.order == f.domain.order * ideal.size
+            pairs = [tuple(p) for p in am.pairs.tolist()]
+            k_left = {pairs[i] for i in kernel(am.proj_base).indices}
+            assert k_left == {(0, j) for j in ideal.indices.tolist()}
+            k_right = {pairs[i] for i in kernel(am.proj_target).indices}
+            assert k_right == {(a, 0) for a in range(f.domain.order)
+                               if ideal.members[f.map[a]]}
+            assert verify_iso(am.dotted_iso)
