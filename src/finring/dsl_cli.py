@@ -17,6 +17,8 @@ status hypothesis_not_met rather than run failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import random
 import sys
 import time
@@ -1115,6 +1117,29 @@ def _print_table(reports: list[VerificationReport]) -> None:
           f"{skipped} hypothesis_not_met, {failed} failed")
 
 
+@contextlib.contextmanager
+def _stdout():
+    """Write to standard output, then flush it. A reader that has closed the
+    pipe (`finring explain | head -1`) ends the output but not the command:
+    the rest of the output goes to the null device, so neither this flush
+    nor the one at exit raises, and the command keeps its exit code.
+    Other exceptions, argparse's SystemExit among them, pass through."""
+    broken = False
+    try:
+        yield
+    except BrokenPipeError:
+        broken = True
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            broken = True
+        if broken:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="finring",
@@ -1139,7 +1164,8 @@ def main(argv: list[str] | None = None) -> int:
     p_explain = sub.add_parser("explain", help="describe a check")
     p_explain.add_argument("name", nargs="?", default=None)
 
-    args = parser.parse_args(argv)
+    with _stdout():
+        args = parser.parse_args(argv)
     if args.command == "check":
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -1159,7 +1185,8 @@ def main(argv: list[str] | None = None) -> int:
         except EvaluationError as exc:
             print(f"error: {exc.message} at {exc.line}:{exc.col}", file=sys.stderr)
             return 3
-        _print_table(reports)
+        with _stdout():
+            _print_table(reports)
         if args.json:
             try:
                 with open(args.json, "w", encoding="utf-8") as fh:
@@ -1179,25 +1206,28 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         else:
-            sys.stdout.write(text)
+            with _stdout():
+                sys.stdout.write(text)
         return 0
 
     if args.command == "explain":
-        if args.name is None:
-            for spec in REGISTRY.values():
-                print(f"{spec.name:28s} {spec.summary}")
-            return 0
-        spec = REGISTRY.get(args.name)
-        if spec is None:
+        spec = None if args.name is None else REGISTRY.get(args.name)
+        if args.name is not None and spec is None:
             print(f"error: unknown check {args.name!r}; available: "
                   + ", ".join(REGISTRY), file=sys.stderr)
             return 2
-        print(f"{spec.name}({spec.signature()})")
-        print()
-        print(spec.statement)
+        with _stdout():
+            if spec is None:
+                for each in REGISTRY.values():
+                    print(f"{each.name:28s} {each.summary}")
+            else:
+                print(f"{spec.name}({spec.signature()})")
+                print()
+                print(spec.statement)
         return 0
 
-    parser.print_help()
+    with _stdout():
+        parser.print_help()
     return 2
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -108,7 +109,11 @@ class FiniteRng:
         self._neg: np.ndarray | None = None
         self._nil: np.ndarray | None = None
         self._char: int | None = None
+        # caches that live exactly as long as the ring: generator sets,
+        # completion programs by seed tuple, quotients by ideal mask
         self._gens: dict[bool, tuple[int, ...]] = {}
+        self._programs: dict[tuple[int, ...], object] = {}
+        self._quotients: dict[bytes, tuple] = {}
         self._label_pos: dict[str, int] | None = None
         self._hash: int | None = None
         if check:
@@ -180,6 +185,24 @@ class FiniteRng:
             yield Element(self, i)
 
     # -- table views ----------------------------------------------------------
+
+    @cached_property
+    def additive_gens(self) -> np.ndarray | None:
+        """The greedy additive generating set S of `_additive_generators`
+        (None when + is no abelian group), computed once per ring."""
+        gens = _additive_generators(self.add, self.zero)
+        if gens is not None:
+            gens.setflags(write=False)
+        return gens
+
+    @cached_property
+    def _generator_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The columns of both tables at `additive_gens`, x + g and x * g
+        for every x and g, as index arrays; None when there is no S."""
+        gens = self.additive_gens
+        if gens is None:
+            return None
+        return self.add[:, gens].astype(np.intp), self.mul[:, gens].astype(np.intp)
 
     def neg_table(self) -> np.ndarray:
         if self._neg is None:
@@ -281,17 +304,22 @@ def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray | None:
 def _light(table: np.ndarray, gens: np.ndarray) -> bool:
     """Light's associativity test: (x g) y = x (g y) for every generator g
     and all x, y. The g that pass form a set closed under the operation, so
-    passing on a generating set proves associativity everywhere."""
-    return all(np.array_equal(table[table[:, g]], table[:, table[g]]) for g in gens)
+    passing on a generating set proves associativity everywhere. Rows x go
+    by `_blocks`, so one block of each side is in memory at a time."""
+    return all(
+        np.array_equal(table[table[i0:i1, g]], table[i0:i1, table[g]])
+        for g in gens for i0, i1 in _blocks(table.shape[0])
+    )
 
 
 def _distributes(add: np.ndarray, mul: np.ndarray, gens: np.ndarray) -> bool:
     """a(x + s) = ax + as for every row a of `mul`, every x and every s in
     gens. With + associative and commutative, the s that pass are closed
     under +, so passing on an additive generating set proves a(x + y) = ax + ay
-    for all y."""
+    for all y. Rows a go by `_blocks`, as in `_light`."""
     return all(
-        np.array_equal(mul[:, add[:, s]], add[mul, mul[:, s, None]]) for s in gens
+        np.array_equal(mul[i0:i1, add[:, s]], add[mul[i0:i1], mul[i0:i1, s, None]])
+        for s in gens for i0, i1 in _blocks(mul.shape[0])
     )
 
 
@@ -361,7 +389,7 @@ def validate_rng(ring: FiniteRng) -> ValidationReport:
     if not add_comm:
         i, j = np.argwhere(add != add.T)[0]
         report("add_commutative", (i, j))
-    gens = _additive_generators(add, ring.zero)
+    gens = ring.additive_gens
     w = None if gens is not None and _light(add, gens) else _assoc_scan(add, add)
     report("add_associative", w)
     add_ok = add_comm and w is None

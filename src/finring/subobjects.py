@@ -130,21 +130,57 @@ class Subrng(MaskedSubset):
 
 
 def _closure(order: int, seed, add: np.ndarray, mul: np.ndarray,
-             absorbing: bool) -> np.ndarray:
+             absorbing: bool) -> tuple[np.ndarray, list[tuple]]:
     """Mask of the least set holding the `seed` indices and closed under the
     additive table `add` and under products from `mul`: by every row of
     `mul` when absorbing, else by members only. A finite set closed under +
-    is closed under negation too, so no separate negation step is needed."""
+    is closed under negation too, so no separate negation step is needed.
+
+    The set grows in frontier rounds. Each round adds the frontier (what
+    the round before reached first) to every member, and multiplies it by
+    every member, or by every row of `mul` when absorbing; so each pair is
+    met once, the tables being commutative. Also returns the rounds, for
+    `_derivation`: the elements each reached first (ascending) and the
+    cells it computed, as ((rows, cols), block) for `add` then `mul`, rows
+    None standing for every row of the table.
+    """
     mask = np.zeros(order, dtype=bool)
     mask[list(seed)] = True
+    frontier = members = np.flatnonzero(mask)
+    rounds = []
     while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[add[np.ix_(idx, idx)].ravel()] = True
-        new[(mul[:, idx] if absorbing else mul[np.ix_(idx, idx)]).ravel()] = True
-        if np.array_equal(new, mask):
-            return mask
-        mask = new
+        spans = ((frontier, members),
+                 (None, frontier) if absorbing else (frontier, members))
+        blocks = [(table if rows is None else table[rows])[:, cols]
+                  for table, (rows, cols) in zip((add, mul), spans)]
+        hit = np.zeros(order, dtype=bool)
+        for block in blocks:
+            hit[block] = True
+        frontier = np.flatnonzero(hit & ~mask)
+        if not frontier.size:
+            return mask, rounds
+        rounds.append((frontier, list(zip(spans, blocks))))
+        mask[frontier] = True
+        members = np.concatenate((members, frontier))
+
+
+def _derivation(rounds: list[tuple]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The rounds of `_closure` as a straight-line program: steps (op, z, x,
+    y) meaning z = add[x, y] (op 0) or z = mul[x, y] (op 1), elementwise,
+    each z taken from the first cell of its round that produced it. Every
+    x and y of a step is a seed or the z of an earlier step."""
+    steps = []
+    for new, blocks in rounds:
+        todo = new
+        for op, ((rows, cols), block) in enumerate(blocks):
+            vals, at = np.unique(block, return_index=True)
+            k = np.searchsorted(vals, todo).clip(max=vals.size - 1)
+            found = vals[k] == todo
+            if found.any():
+                i, j = np.divmod(at[k[found]], cols.size)
+                steps.append((op, todo[found], i if rows is None else rows[i], cols[j]))
+            todo = todo[~found]
+    return steps
 
 
 # -- ideal construction and arithmetic -----------------------------------------
@@ -183,7 +219,8 @@ def ideal_from_generators(ring: FiniteRng, generators) -> Ideal:
     """Smallest ideal containing the generators: closure under addition,
     negation, and multiplication by arbitrary ring elements."""
     seed = [ring.zero] + [_as_index(ring, g) for g in generators]
-    return Ideal(ring, _closure(ring.order, seed, ring.add, ring.mul, absorbing=True))
+    mask, _ = _closure(ring.order, seed, ring.add, ring.mul, absorbing=True)
+    return Ideal(ring, mask)
 
 
 def zero_ideal(ring: FiniteRng) -> Ideal:
@@ -255,22 +292,27 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     """The quotient by an ideal together with the projection hom.
 
     Classes are ordered by least ambient representative; labels are the
-    representative label in brackets.
+    representative label in brackets. Both are validated once and cached on
+    `ring` by the ideal's mask, so they live as long as the ring does.
     """
     from .morphisms import RingHom
 
-    reps, class_of = coset_representatives(ring, I)
-    add = class_of[ring.add[np.ix_(reps, reps)]]
-    mul = class_of[ring.mul[np.ix_(reps, reps)]]
-    zero = int(class_of[ring.zero])
-    one = int(class_of[ring.one]) if ring.has_one else None
-    labels = [f"[{ring.labels[r]}]" for r in reps]
-    quotient = FiniteRng(
-        add, mul, zero, one, labels,
-        provenance="quotient", name=f"quot({ring.name},{I.size})",
-    )
-    proj = RingHom(ring, quotient, class_of, unital=ring.has_one)
-    return quotient, proj
+    _require_same_ring(ring, I)
+    key = I.members.tobytes()
+    if key not in ring._quotients:
+        reps, class_of = coset_representatives(ring, I)
+        add = class_of[ring.add[np.ix_(reps, reps)]]
+        mul = class_of[ring.mul[np.ix_(reps, reps)]]
+        zero = int(class_of[ring.zero])
+        one = int(class_of[ring.one]) if ring.has_one else None
+        labels = [f"[{ring.labels[r]}]" for r in reps]
+        quotient = FiniteRng(
+            add, mul, zero, one, labels,
+            provenance="quotient", name=f"quot({ring.name},{I.size})",
+        )
+        proj = RingHom(ring, quotient, class_of, unital=ring.has_one)
+        ring._quotients[key] = (quotient, proj)
+    return ring._quotients[key]
 
 
 def is_prime(I: Ideal) -> bool:
@@ -370,7 +412,8 @@ def subring_generated(ring: FiniteRng, seed, include_one: bool = True) -> Subrng
     ambient ring is unital): closure under +, negation, and *."""
     fixed = [ring.zero] + ([ring.one] if include_one and ring.has_one else [])
     start = fixed + [_as_index(ring, g) for g in seed]
-    return Subrng(ring, _closure(ring.order, start, ring.add, ring.mul, absorbing=False))
+    mask, _ = _closure(ring.order, start, ring.add, ring.mul, absorbing=False)
+    return Subrng(ring, mask)
 
 
 def _as_ring(sub: MaskedSubset, name: str, unital: bool):
@@ -503,7 +546,7 @@ def validate_module(M: FiniteModule) -> ValidationReport:
     module_ok = w is None
     # (a + b)x = ax + bx; the b that pass are closed under + when both + are
     # associative
-    ring_gens = _additive_generators(ring.add, ring.zero)
+    ring_gens = ring.additive_gens
     fast = ring_gens is not None and add_assoc and all(
         np.array_equal(act[ring.add[:, b]], add[act, act[b][None, :]]) for b in ring_gens
     )
@@ -549,7 +592,8 @@ def module_via_hom(f, J: Ideal) -> FiniteModule:
 
 def submodule_generated(M: FiniteModule, seed) -> np.ndarray:
     """Membership mask of the submodule generated by seed positions."""
-    return _closure(M.order, [M.zero, *map(int, seed)], M.add, M.action, absorbing=True)
+    mask, _ = _closure(M.order, [M.zero, *map(int, seed)], M.add, M.action, absorbing=True)
+    return mask
 
 
 @dataclass(frozen=True)

@@ -244,3 +244,73 @@ def module_violations(ring_add, ring_mul, ring_one, ring_labels,
         note("one_acts_as_identity", _first(singles, lambda x: action[ring_one][x] != x),
              labels)
     return out
+
+
+def hom_violations(a, b, fmap, unital: bool) -> list[tuple[str, tuple[str, ...]]]:
+    """Every violated hom law with its lexicographically first witness, by
+    full loops over all pairs, in the order validate_hom reports them."""
+    a_add, a_mul = a.add.tolist(), a.mul.tolist()
+    b_add, b_mul = b.add.tolist(), b.mul.tolist()
+    f = [int(v) for v in fmap]
+    pairs = list(product(range(a.order), repeat=2))
+    out = []
+
+    def note(law, w):
+        if w is not None:
+            out.append((law, tuple(a.labels[i] for i in w)))
+
+    if f[a.zero] != b.zero:
+        note("preserves_zero", (a.zero,))
+    note("preserves_add", _first(
+        pairs, lambda x, y: f[a_add[x][y]] != b_add[f[x]][f[y]]))
+    note("preserves_mul", _first(
+        pairs, lambda x, y: f[a_mul[x][y]] != b_mul[f[x]][f[y]]))
+    if unital:
+        if a.one is None or b.one is None:
+            out.append(("unital_requires_identities", ()))
+        elif f[a.one] != b.one:
+            note("preserves_one", (a.one,))
+    return out
+
+
+def complete_hom_worklist(a, b, images: dict[int, int], unital: bool):
+    """Grow an index map from 0 -> 0, 1 -> 1 (when unital) and `images` by
+    a worklist over negation, + and *, failing on the first conflict; None
+    on a conflict or when some element is never reached. Each newly
+    defined element is combined with every element defined so far."""
+    a_add, a_mul = a.add.tolist(), a.mul.tolist()
+    b_add, b_mul = b.add.tolist(), b.mul.tolist()
+    a_neg = [row.index(a.zero) for row in a_add]
+    b_neg = [row.index(b.zero) for row in b_add]
+    mapping = [-1] * a.order
+    mapping[a.zero] = b.zero
+    if unital:
+        mapping[a.one] = b.one
+    for g, img in images.items():
+        if mapping[g] not in (-1, img):
+            return None
+        mapping[g] = img
+    defined = [i for i in range(a.order) if mapping[i] >= 0]
+    queue = list(defined)
+
+    def assign(z, w) -> bool:
+        if mapping[z] == -1:
+            mapping[z] = w
+            defined.append(z)
+            queue.append(z)
+            return True
+        return mapping[z] == w
+
+    while queue:
+        x = queue.pop()
+        fx = mapping[x]
+        if not assign(a_neg[x], b_neg[fx]):
+            return None
+        for y in list(defined):
+            fy = mapping[y]
+            if not (assign(a_add[x][y], b_add[fx][fy])
+                    and assign(a_mul[x][y], b_mul[fx][fy])):
+                return None
+    if -1 in mapping:
+        return None
+    return mapping

@@ -284,3 +284,31 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("cardinality(")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["explain"], 0),
+    (["explain", "cardinality"], 0),
+    (["catalog", "--budget", "16"], 0),
+    (["check", "{script}", "--json", "{out}"], 0),
+    (["--help"], 0),
+    ([], 2),
+], ids=["explain", "explain-one", "catalog", "check", "help", "no-command"])
+def test_cli_on_a_closed_pipe(tmp_path, args, code):
+    # the reader closes its end before the child has written anything
+    script, out = tmp_path / "s.fr", tmp_path / "out.json"
+    script.write_text("ring A = zmod(4);\ncheck cardinality(dup(A, gen(A; 2)));\n")
+    args = [a.format(script=script, out=out) for a in args]
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "finring", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == code
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == ""
+    if args[:1] == ["check"]:
+        assert json.loads(out.read_text())

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finring.errors import AmbientMismatch, MalformedMap
 from finring.morphisms import (
     RingHom,
+    complete_hom,
     compose,
     corestrict,
     enumerate_homs,
@@ -22,9 +25,22 @@ from finring.morphisms import (
     verify_iso,
 )
 from finring.rings import direct_product, from_tables, galois_field, trunc_poly, zmod
-from finring.subobjects import ideal_from_generators, quotient_ring
+from finring.subobjects import ideal_as_rng, ideal_from_generators, quotient_ring
 
-from oracles import all_homs_brute
+from oracles import all_homs_brute, complete_hom_worklist
+
+Z2 = zmod(2)
+# unital rings plus two rngs without identity, all small enough for the worklist
+RINGS = [zmod(n) for n in range(1, 13)] + [galois_field(q) for q in (4, 8, 9)] + [
+    direct_product([Z2, Z2]),
+    direct_product([Z2, zmod(4)]),
+    direct_product([Z2, zmod(3)]),
+    trunc_poly(Z2, 1, 2),
+    trunc_poly(zmod(3), 1, 1),
+    trunc_poly(Z2, 2, 1),
+    ideal_as_rng(ideal_from_generators(zmod(8), [2]))[0],
+    ideal_as_rng(ideal_from_generators(zmod(12), [2]))[0],
+]
 
 
 def test_hom_validation_rejects_non_multiplicative_map():
@@ -103,18 +119,72 @@ def test_find_iso_between_isomorphic_presentations():
     assert verify_iso(search.hom)
 
 
-def test_find_iso_leaves_no_reference_to_its_rings():
-    # (Z2)^2 needs a generator beyond 1, so the search runs; labels no other
-    # test uses keep both rings distinct from every ring built before
-    z = direct_product([zmod(2), zmod(2)])
-    a, b = (from_tables(z.add, z.mul, z.zero, labels=[f"{c}{i}" for i in range(4)])
-            for c in "uv")
+def _fresh(ring, prefix):
+    # labels no other test uses keep the copy distinct from every ring built
+    # before, so no structural equality can reach it
+    return from_tables(ring.add, ring.mul, ring.zero,
+                       labels=[f"{prefix}{i}" for i in range(ring.order)])
+
+
+def _iso_search():
+    # (Z2)^2 needs a generator beyond 1, so the search runs
+    z = direct_product([Z2, Z2])
+    a, b = _fresh(z, "u"), _fresh(z, "v")
     search = find_iso(a, b)
     assert search.found and search.reason == "found by generator search"
-    refs = [weakref.ref(a), weakref.ref(b)]
-    del a, b, search
+    return [a, b], search
+
+
+def _section_search():
+    # (Z2)^3 -> (Z2)^2, forgetting the last factor; the section caches a
+    # completion program on its domain
+    d, c = _fresh(direct_product([Z2] * 3), "s"), _fresh(direct_product([Z2] * 2), "t")
+    search = find_section(RingHom(d, c, np.arange(8) // 2))
+    assert search.found
+    return [d, c], search
+
+
+def _quotient():
+    r = _fresh(zmod(12), "q")
+    q, proj = quotient_ring(r, ideal_from_generators(r, ["q4"]))
+    assert quotient_ring(r, ideal_from_generators(r, ["q8"])) == (q, proj)
+    return [r, q], proj
+
+
+@pytest.mark.parametrize("run", [_iso_search, _section_search, _quotient],
+                         ids=["find_iso", "find_section", "quotient_ring"])
+def test_caches_leave_no_reference_to_their_rings(run):
+    rings, result = run()
+    refs = [weakref.ref(r) for r in rings]
+    del rings, result
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@functools.cache
+def _homs(i: int, j: int, unital: bool) -> list[np.ndarray]:
+    return [h.map for h in enumerate_homs(RINGS[i], RINGS[j], unital=unital, cap=4)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_complete_hom_matches_worklist(data):
+    i = data.draw(st.integers(0, len(RINGS) - 1), label="A")
+    j = data.draw(st.integers(0, len(RINGS) - 1), label="B")
+    A, B = RINGS[i], RINGS[j]
+    unital = A.has_one and B.has_one and data.draw(st.booleans(), label="unital")
+    keys = data.draw(st.lists(st.integers(0, A.order - 1), max_size=3, unique=True),
+                     label="keys")
+    homs = _homs(i, j, unital)
+    if homs and data.draw(st.booleans(), label="from a hom"):
+        # images of a real hom, so that completions succeed too
+        h = data.draw(st.sampled_from(homs), label="hom")
+        images = {k: int(h[k]) for k in keys}
+    else:
+        images = {k: data.draw(st.integers(0, B.order - 1), label="image") for k in keys}
+    got = complete_hom(A, B, images, unital)
+    want = complete_hom_worklist(A, B, images, unital)
+    assert (None if got is None else got.tolist()) == want
 
 
 def test_find_iso_distinguishes_non_isomorphic_rings():

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finring
-from finring import rings, subobjects
+from finring import morphisms, rings, subobjects
 from finring.amalgamation import duplication
 from finring.config import guard_limit
 from finring.errors import SizeGuardExceeded
-from finring.morphisms import RingHom, identity_hom
+from finring.morphisms import RingHom, enumerate_homs, identity_hom, validate_hom
 from finring.reports import ValidationReport, Violation
 from finring.rings import (
     FiniteRng,
@@ -29,12 +29,14 @@ from finring.rings import (
 )
 from finring.subobjects import (
     FiniteModule,
+    ideal_as_rng,
     ideal_from_generators,
     module_via_hom,
+    quotient_ring,
     validate_module,
 )
 
-from oracles import module_violations, rng_violations
+from oracles import hom_violations, module_violations, rng_violations
 
 Z2 = zmod(2)
 RINGS = [zmod(n) for n in range(1, 17)] + [galois_field(q) for q in (4, 8, 9, 16)] + [
@@ -55,6 +57,21 @@ MODULES = [_unit_module(identity_hom(r)) for r in RINGS if r.order > 1][::3] + [
     _unit_module(RingHom(Z2, galois_field(4), [0, 1])),
     module_via_hom(identity_hom(zmod(12)), ideal_from_generators(zmod(12), [4])),
     module_via_hom(identity_hom(RINGS[-4]), ideal_from_generators(RINGS[-4], ["(1,0,0,0)"])),
+]
+
+
+def _embedding(ring: FiniteRng, gen) -> RingHom:
+    return ideal_as_rng(ideal_from_generators(ring, [gen]))[1]
+
+
+HOMS = [identity_hom(r) for r in RINGS[::2]] + [
+    quotient_ring(zmod(12), ideal_from_generators(zmod(12), [4]))[1],
+    quotient_ring(RINGS[-4], ideal_from_generators(RINGS[-4], ["(1,0,0,0)"]))[1],
+    RingHom(zmod(8), zmod(4), np.arange(8) % 4),
+    RingHom(Z2, galois_field(4), [0, 1]),
+    *enumerate_homs(galois_field(8), galois_field(8))[1:],  # Frobenius maps
+    _embedding(zmod(12), 2),  # rng homs: not unital
+    _embedding(trunc_poly(Z2, 2, 1), "X1"),
 ]
 
 
@@ -141,6 +158,19 @@ def test_validate_module_matches_naive_oracle_on_random_tables(data):
     assert str(validate_module(M)) == _expected("module", want)
 
 
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_validate_hom_matches_naive_oracle_on_corrupted_maps(data):
+    base = data.draw(st.sampled_from(HOMS), label="hom")
+    A, B = base.domain, base.codomain
+    fmap = np.array(base.map)
+    for _ in range(data.draw(st.integers(1, 2), label="cells")):
+        x = data.draw(st.integers(0, A.order - 1), label="x")
+        fmap[x] = data.draw(st.integers(0, B.order - 1), label="value")
+    f = RingHom(A, B, fmap, unital=base.unital, name="f", check=False)
+    assert str(validate_hom(f)) == _expected("f", hom_violations(A, B, fmap, base.unital))
+
+
 def test_valid_structures_never_reach_the_witness_scan(monkeypatch):
     def scan(*args):
         raise AssertionError("witness scan reached on a valid structure")
@@ -151,6 +181,15 @@ def test_valid_structures_never_reach_the_witness_scan(monkeypatch):
         assert validate_rng(r).ok
     for m in MODULES:
         assert validate_module(m).ok
+
+
+def test_valid_homs_never_reach_the_full_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("full scan reached on a hom")
+
+    monkeypatch.setattr(morphisms, "_first_miss", scan)
+    for f in HOMS:
+        assert validate_hom(f).ok
 
 
 def test_additive_generators_are_greedy_and_logarithmic():
