@@ -33,6 +33,7 @@ from .morphisms import (
     identity_hom,
     image,
     kernel,
+    min_unital_generators,
     verify_iso,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
@@ -228,9 +229,11 @@ class Amalgam:
     """The subring {(a, f(a)+j)} of A x B with its canonical maps.
 
     embed sends a to (a, f(a)); proj_base and proj_target are the coordinate
-    projections. `dotted`, the abstract presentation A dotted-plus J, and
-    `dotted_iso`, its transport onto the pair representation, are built on
-    first access.
+    projections. The other presentations are built on first access and then
+    kept: `dotted`, the abstract presentation A dotted-plus J, with
+    `dotted_iso`, its transport onto the pair representation;
+    `residue_pullback`, the pullback over B/J; and `target_image`, which
+    makes f(A)+J a ring.
     """
 
     ring: FiniteRng
@@ -271,6 +274,17 @@ class Amalgam:
         )
         return RingHom(self.dotted.ring, self.ring, np.searchsorted(enc, dotted_enc),
                        unital=True, name="dotted_to_pairs", check=False)
+
+    @cached_property
+    def residue_pullback(self) -> PullbackData:
+        """The pullback of A -> B/J (a -> f(a)+J) against B -> B/J."""
+        return pullback(*residue_presentation(self))
+
+    @cached_property
+    def target_image(self) -> tuple[RingHom, RingHom]:
+        """proj_target corestricted onto its image f(A)+J, a ring named
+        "image_plus_ideal", and the inclusion of f(A)+J into B."""
+        return corestrict(self.proj_target, name="image_plus_ideal")
 
 
 def amalgam_pair_encoding(f: RingHom, J: Ideal) -> np.ndarray:
@@ -522,7 +536,11 @@ class PullbackData:
 
 def pullback(alpha: RingHom, beta: RingHom, name: str | None = None) -> PullbackData:
     """The pairs are exactly the solutions of alpha(a) = beta(b), so the
-    square commutes by construction."""
+    square commutes by construction. The solutions of an equation between
+    homs form a closed subset of the product, so `pair_subring` builds the
+    ring without validating it again, and the projections are the
+    coordinate projections of the product restricted to it: unital homs,
+    not validated either."""
     if alpha.codomain != beta.codomain:
         raise AmbientMismatch("pullback requires a common codomain")
     if not (alpha.unital and beta.unital):
@@ -532,8 +550,10 @@ def pullback(alpha: RingHom, beta: RingHom, name: str | None = None) -> Pullback
         alpha.domain, beta.domain, pairs, "pullback",
         name or f"pullback({alpha.name},{beta.name})",
     )
-    proj_left = RingHom(ring, alpha.domain, arr[:, 0], unital=True, name="proj_left")
-    proj_right = RingHom(ring, beta.domain, arr[:, 1], unital=True, name="proj_right")
+    proj_left = RingHom(ring, alpha.domain, arr[:, 0], unital=True, name="proj_left",
+                        check=False)
+    proj_right = RingHom(ring, beta.domain, arr[:, 1], unital=True, name="proj_right",
+                         check=False)
     return PullbackData(ring, alpha.domain, beta.domain, alpha.codomain,
                         alpha, beta, arr, proj_left, proj_right)
 
@@ -550,8 +570,7 @@ def pull_identity_check(am: Amalgam, instance: str | None = None) -> Verificatio
     rep = VerificationReport(
         "pull_identity", instance or am.description, PASS,
     )
-    f_res, pi = residue_presentation(am)
-    pb = pullback(f_res, pi)
+    pb = am.residue_pullback
     pairs_equal = np.array_equal(pb.pairs, am.pairs)
     rings_equal = pb.ring == am.ring
     rep.add("element_sets_equal", pairs_equal)
@@ -673,7 +692,11 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
     """A pullback is an amalgam of its left factor exactly when the left
     projection admits a section. A found section rebuilds (f, J) and the
     element set is compared; an exhausted fruitless search is certified by
-    also exhausting every (hom, ideal) presentation."""
+    also exhausting every (hom, ideal) presentation. Both searches charge
+    `budget`; when either cannot finish inside it there is no certificate,
+    and the verdict is hypothesis_not_met."""
+    if budget is None:
+        budget = config.DEFAULT_SEARCH_BUDGET
     rep = VerificationReport(
         "retraction_criterion",
         instance or f"{alpha.name} vs {beta.name}", PASS,
@@ -706,7 +729,13 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
         rep.add("note", "section search hit the budget before exhausting the "
                         "space; no certificate either way")
         return rep
-    homs = enumerate_homs(pb.left, pb.right, unital=True)
+    space = pb.right.order ** len(min_unital_generators(pb.left))
+    if space > budget:
+        rep.status = HYPOTHESIS_NOT_MET
+        rep.add("note", f"enumerating homs needs {space} assignments, over the "
+                        f"budget of {budget}; no certificate either way")
+        return rep
+    homs = enumerate_homs(pb.left, pb.right, unital=True, budget=budget)
     ideals = all_ideals(pb.right)
     presentations = 0
     match = None
@@ -739,8 +768,7 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
     rep = VerificationReport(
         "retraction_roundtrip", instance or am.description, PASS,
     )
-    f_res, pi = residue_presentation(am)
-    pb = pullback(f_res, pi)
+    pb = am.residue_pullback
     search = find_section(pb.proj_left, budget)
     rep.add("section_found", search.found)
     if not search.found:
@@ -751,7 +779,7 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
             rep.add("note", "section search budget exhausted")
         return rep
     f_new = compose(pb.proj_right, search.section)
-    J_new = kernel(pi)
+    J_new = kernel(pb.beta)
     ideal_match = J_new == am.ideal
     rep.add("recovered_ideal_equals_J", ideal_match)
     enc_pb = pb.pairs[:, 0] * am.target.order + pb.pairs[:, 1]
@@ -853,7 +881,7 @@ def canonical_isos(am: Amalgam, I: Ideal | None = None,
     ok2 = fi2.valid
     rep.add("mod_zero_cross_J_iso_base", f"valid={ok2}, order {fi2.quotient.order}")
 
-    pb_small, embed_bd = corestrict(am.proj_target, name="image_plus_ideal")
+    pb_small, embed_bd = am.target_image
     fi3 = first_iso_witness(pb_small)
     ok3 = fi3.valid
     rep.add("mod_preimage_cross_zero_iso_image_plus_ideal",
@@ -910,8 +938,7 @@ def domain_criterion_check(am: Amalgam, instance: str | None = None) -> Verifica
         rep.add("amalgam_is_domain", is_domain(am.ring))
         return rep
     lhs = is_domain(am.ring)
-    bd = image_plus_ideal(am.hom, am.ideal)
-    bd_ring, _ = subrng_as_ring(bd, name="image_plus_ideal")
+    bd_ring = am.target_image[0].codomain
     preimage_trivial = int(am.ideal.members[am.hom.map].sum()) == 1
     rhs = is_domain(bd_ring) and preimage_trivial
     rep.add("amalgam_is_domain", lhs)

@@ -88,9 +88,11 @@ def nagata_idealization(base: FiniteRng, module: FiniteModule,
     report = validate_module(module)
     if not report.ok:
         raise IncompatibleStructures(f"not a module: {report}")
+    # not validated again: (M, +) is an abelian group by the module check,
+    # and the zero product meets every multiplicative axiom
     zero_mul = np.full((module.order, module.order), module.zero, dtype=np.int64)
     part = FiniteRng(module.add, zero_mul, module.zero, None, module.labels,
-                     provenance="idealization", name=f"sq0({base.name})")
+                     provenance="idealization", name=f"sq0({base.name})", check=False)
     ds = dotted_sum(base, part, module.action)
     ring = FiniteRng(ds.ring.add, ds.ring.mul, ds.ring.zero, ds.ring.one,
                      ds.ring.labels, provenance="idealization",

@@ -6,8 +6,11 @@ identity (None for rngs without one), and one display label per element.
 Instances are immutable. Equality is structural: same tables, same zero/one,
 same labels. `name` and `provenance` are descriptive and never compared.
 
-Every constructor validates its output unless told not to, so an object that
-exists is an object whose axioms were machine-checked.
+An object that exists is an object whose axioms hold: every constructor
+either machine-checks its output (`validate_rng`) or builds it from rings
+that were checked, in a way that provably keeps every axiom (products and
+closed subsets here, quotients in `subobjects`), and says why in its
+docstring.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -484,7 +487,11 @@ def zmod(n: int) -> FiniteRng:
 
 def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> FiniteRng:
     """Componentwise product. Element order is lexicographic in the factor
-    indices with the first factor most significant; labels are "(a,b,...)"."""
+    indices with the first factor most significant; labels are "(a,b,...)".
+
+    Not validated again: every axiom is an identity between the operations,
+    and the operations act coordinate by coordinate, so each one holds in
+    the product because it holds in every factor."""
     factors = list(factors)
     if not factors:
         raise InvalidParameter("direct_product needs at least one factor")
@@ -512,7 +519,8 @@ def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> Fin
     ]
     if name is None:
         name = "product(" + ",".join(f.name for f in factors) + ")"
-    return FiniteRng(add, mul, zero, one, labels, provenance="product", name=name)
+    return FiniteRng(add, mul, zero, one, labels, provenance="product", name=name,
+                     check=False)
 
 
 def _monomials(num_vars: int, max_deg: int) -> list[tuple[int, ...]]:
@@ -768,7 +776,12 @@ def restrict_to_subset(
     """The subset, sorted by ambient index, as a standalone rng with inherited
     labels. The subset must contain zero and be closed under + and *.
     An identity inside the subset is detected even when it differs from the
-    ambient one (an ideal can be unital on its own)."""
+    ambient one (an ideal can be unital on its own).
+
+    Not validated again: zero and closure are checked here, every other
+    axiom but inverses is universally quantified and so holds on any
+    subset of a valid rng, and a finite subset closed under + is a subgroup
+    (x, 2x, 3x, ... returns to 0), so it holds the negatives too."""
     idx = np.asarray(sorted(int(i) for i in set(map(int, indices))), dtype=np.int64)
     if idx.size == 0:
         raise InvalidParameter("subset must be nonempty")
@@ -785,23 +798,34 @@ def restrict_to_subset(
     one = _detect_one(add.astype(_TABLE_DTYPE), mul.astype(_TABLE_DTYPE))
     labels = [ring.labels[i] for i in idx]
     return FiniteRng(
-        add, mul, int(pos[ring.zero]), one, labels, provenance=provenance, name=name
+        add, mul, int(pos[ring.zero]), one, labels, provenance=provenance, name=name,
+        check=False,
     )
 
 
 def pair_subring(
     left: FiniteRng,
     right: FiniteRng,
-    pairs: Iterable[tuple[int, int]],
+    pairs: np.ndarray,
     provenance: str,
     name: str,
 ) -> tuple[FiniteRng, np.ndarray]:
-    """A subring of left x right given by an explicit pair list, without
-    materializing the full product. Pairs are sorted lexicographically; labels
-    are "(a,b)". Returns the ring and the sorted (m, 2) pair array."""
-    arr = np.array(sorted(set((int(a), int(b)) for a, b in pairs)), dtype=np.int64)
+    """A subring of left x right given by an (m, 2) array of index pairs,
+    without materializing the full product. Pairs are deduplicated and
+    sorted lexicographically; labels are "(a,b)". Returns the ring and the
+    sorted (m, 2) pair array.
+
+    Not validated again, by the argument of `restrict_to_subset`: the pair
+    set is checked to hold (0, 0) and to be closed under + and *, so it is
+    a closed subset of the valid rng left x right."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if arr.size == 0:
         raise InvalidParameter("pair set must be nonempty")
+    if arr.min() < 0 or arr[:, 0].max() >= left.order or arr[:, 1].max() >= right.order:
+        raise InvalidParameter("pair index out of range")
+    # a*|right| + b orders pairs lexicographically, so np.unique sorts them
+    codes = np.unique(arr[:, 0] * right.order + arr[:, 1])
+    arr = np.stack(np.divmod(codes, right.order), axis=1)
     m = arr.shape[0]
     if m > config.size_guard():
         raise SizeGuardExceeded(f"order {m} exceeds size guard {config.size_guard()}")
@@ -829,5 +853,6 @@ def pair_subring(
     if one is None:
         one = _detect_one(add, mul)
     labels = [f"({left.labels[a]},{right.labels[b]})" for a, b in arr]
-    ring = FiniteRng(add, mul, zero, one, labels, provenance=provenance, name=name)
+    ring = FiniteRng(add, mul, zero, one, labels, provenance=provenance, name=name,
+                     check=False)
     return ring, arr

@@ -292,8 +292,15 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     """The quotient by an ideal together with the projection hom.
 
     Classes are ordered by least ambient representative; labels are the
-    representative label in brackets. Both are validated once and cached on
-    `ring` by the ideal's mask, so they live as long as the ring does.
+    representative label in brackets. Both are cached on `ring` by the
+    ideal's mask, so they live as long as the ring does.
+
+    The quotient is not validated again. Every `Ideal` is a closure, a
+    kernel, a preimage, a sum or intersection of ideals, or checked by
+    `ideal_from_members`, so the class map is a congruence and the quotient
+    is the image of a valid ring under a surjective hom, where every axiom
+    holds. The projection is validated, on the additive generators of
+    `ring`, as a hom onto the quotient's tables.
     """
     from .morphisms import RingHom
 
@@ -308,7 +315,7 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
         labels = [f"[{ring.labels[r]}]" for r in reps]
         quotient = FiniteRng(
             add, mul, zero, one, labels,
-            provenance="quotient", name=f"quot({ring.name},{I.size})",
+            provenance="quotient", name=f"quot({ring.name},{I.size})", check=False,
         )
         proj = RingHom(ring, quotient, class_of, unital=ring.has_one)
         ring._quotients[key] = (quotient, proj)
@@ -417,11 +424,15 @@ def subring_generated(ring: FiniteRng, seed, include_one: bool = True) -> Subrng
 
 
 def _as_ring(sub: MaskedSubset, name: str, unital: bool):
+    """The subset as a rng (see `restrict_to_subset`) plus its inclusion,
+    which is not validated: it is the identity of `sub.ring` restricted to a
+    closed subset, so it keeps + and *, and 1 when `unital` says the subset
+    holds the ambient identity."""
     from .morphisms import RingHom
 
     idx = sub.indices
     ring = restrict_to_subset(sub.ring, idx, "subring", name)
-    return ring, RingHom(ring, sub.ring, idx.astype(np.int64), unital=unital)
+    return ring, RingHom(ring, sub.ring, idx.astype(np.int64), unital=unital, check=False)
 
 
 def subrng_as_ring(sub: Subrng, name: str | None = None):

@@ -33,7 +33,7 @@ from finring.amalgamation import (
 )
 from finring.dsl_cli import evaluate, parse
 from finring.errors import FinringError, HypothesisViolated, InvalidParameter
-from finring.morphisms import enumerate_homs, identity_hom, verify_iso
+from finring.morphisms import RingHom, enumerate_homs, identity_hom, verify_iso
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS
 from finring.rings import direct_product, is_reduced, zmod
 from finring.subobjects import (
@@ -262,6 +262,24 @@ def test_retraction_criterion_negative_is_certified():
     assert rep.status == PASS
     assert rep.witness("section_found") == "False"
     assert rep.witness("no_presentation_exists") == "True"
+
+
+def test_retraction_criterion_gives_no_certificate_past_its_budget():
+    # Z2 x Z2 has characteristic 2 and Z4 x Z2 characteristic 4, so no unital
+    # hom, and no section of the reduction, exists
+    r22, b = direct_product([zmod(2), zmod(2)]), direct_product([zmod(4), zmod(2)])
+    # (a, c) -> (a mod 2, c), the element (a, c) of Z4 x Z2 sitting at 2a + c
+    beta = RingHom(b, r22, [(x // 2 % 2) * 2 + x % 2 for x in range(8)])
+    full = retraction_criterion_check(identity_hom(r22), beta)
+    assert full.status == PASS
+    assert full.witness("no_presentation_exists") == "True"
+    # the two section candidates fit a budget of 2; the 8 hom assignments
+    # (|Z4 x Z2| images of one generator) do not
+    cut = retraction_criterion_check(identity_hom(r22), beta, budget=2)
+    assert cut.status == HYPOTHESIS_NOT_MET
+    assert cut.witness("assignments_tried") == "2"
+    assert "8 assignments" in cut.witness("note")
+    assert cut.witness("no_presentation_exists") is None
 
 
 def test_retraction_roundtrip_recovers_ideal():

@@ -230,6 +230,22 @@ def test_order_4096_builds_under_a_2_gib_address_space():
     assert done.stdout.split() == ["4096"]
 
 
+def test_order_4096_product_builds_under_a_2_gib_address_space():
+    # as above; the product is built from its factors' tables, unvalidated
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from finring import direct_product, zmod; "
+        "print(direct_product([zmod(64), zmod(64)]).order)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["4096"]
+
+
 def test_orders_above_the_guard_are_refused():
     with pytest.raises(SizeGuardExceeded):
         zmod(4097)
