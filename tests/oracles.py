@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from finring.errors import ScriptSyntaxError
+
 
 def ideal_closure(add, mul, zero: int, gens) -> frozenset[int]:
     """Smallest subset containing gens that is an additive subgroup and
@@ -314,3 +316,72 @@ def complete_hom_worklist(a, b, images: dict[int, int], unital: bool):
     if -1 in mapping:
         return None
     return mapping
+
+
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI", "=": "EQUALS"}
+
+
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Script text to (type, value, line, col) tuples, one character at a
+    time: the scanner the regex one in `dsl_cli` replaced. It differs on
+    digits that are not decimal (such as '²'): it takes them into a NUMBER,
+    which `int()` then rejects."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(("ARROW", "->", line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                raise ScriptSyntaxError("unterminated string", line, start_col,
+                                        ('"',))
+            tokens.append(("STRING", text[i + 1:j], line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("NUMBER", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise ScriptSyntaxError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(("EOF", "", line, col))
+    return tokens

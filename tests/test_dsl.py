@@ -312,3 +312,12 @@ def test_cli_on_a_closed_pipe(tmp_path, args, code):
     assert stderr == ""
     if args[:1] == ["check"]:
         assert json.loads(out.read_text())
+
+
+def test_explain_output_matches_golden_text(capsys):
+    # `finring explain`, then `finring explain NAME` for each check in order
+    assert main(["explain"]) == 0
+    for name in REGISTRY:
+        assert main(["explain", name]) == 0
+    golden = Path(__file__).parent / "golden" / "explain.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
