@@ -188,9 +188,14 @@ def dorroh(part: FiniteRng, n: int | None = None) -> DottedSum:
 
 def dorroh_check(part: FiniteRng, n: int | None = None,
                  instance: str | None = None) -> VerificationReport:
-    """The unitalization has identity (1,0), keeps characteristic n, contains
-    the original rng as an ideal, and collapses back to the integers mod n
-    when that ideal is cut out. The last claim gets an explicit witness iso."""
+    """identity adjunction to an ideal viewed as a rng
+
+    Take the ideal as a rng R of characteristic n and form the ring
+    on (Z/nZ) x R with product (a,x)(a',x') = (aa', ax' + a'x + xx').
+    The result is unital with identity (1,0), has characteristic n,
+    contains R as an ideal with quotient Z/nZ (witnessed by an
+    explicit iso), and is covered by multiples of the identity
+    plus R."""
     ds = dorroh(part, n)
     base = ds.base
     rep = VerificationReport(
@@ -391,8 +396,12 @@ def image_plus_ideal_check(f: RingHom, J: Ideal,
 
 def same_amalgam(f: RingHom, g: RingHom, J: Ideal,
                  instance: str | None = None) -> VerificationReport:
-    """Two homs produce the same amalgam exactly when they agree modulo J
-    pointwise. Both sides of the equivalence are computed independently."""
+    """two homs give one amalgam iff they agree modulo the ideal
+
+    For f, g: A -> B and an ideal J of B, the element sets
+    {(a, f(a)+j)} and {(a, g(a)+j)} coincide exactly when
+    f(a) - g(a) lies in J for every a. Both sides are computed
+    independently and compared."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise AmbientMismatch("homs must share domain and codomain")
     B = f.codomain
@@ -456,10 +465,14 @@ def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> Amalgam:
 
 def iter_iso_check(f: RingHom, J: Ideal, n: int,
                    instance: str | None = None) -> VerificationReport:
-    """The n-fold amalgam is the simple duplication of the (n-1)-fold one
-    along the embedded copy of J. The witness is the explicit coordinate
-    shuffle (a,(b_1..b_n)) -> ((a,(b_1..b_{n-1})), (a,(b_1..b_{n-2},b_n))),
-    validated as a bijective hom."""
+    """the n-fold amalgam is a duplication of the (n-1)-fold one
+
+    Amalgamating the diagonal map into B^n along J^n gives a ring of
+    order |A| * |J|^n, and the coordinate shuffle
+    (a,(b_1..b_n)) -> ((a,(b_1..b_{n-1})), (a,(b_1..b_{n-2},b_n)))
+    identifies it with the duplication of the (n-1)-fold amalgam
+    along its embedded copy of J. The shuffle is validated as a
+    bijective hom."""
     if n < 2:
         raise HypothesisViolated("iterated isomorphism needs n >= 2")
     rep = VerificationReport(
@@ -565,8 +578,12 @@ def residue_presentation(am: Amalgam) -> tuple[RingHom, RingHom]:
 
 
 def pull_identity_check(am: Amalgam, instance: str | None = None) -> VerificationReport:
-    """The amalgam IS the pullback of the induced map to B/J against the
-    projection: same pairs, same tables."""
+    """amalgam equals the fiber product over B/J
+
+    Let pi: B -> B/J be the projection and f' = pi o f. The amalgam
+    of f along J has exactly the element set {(a,b) : f'(a) = pi(b)}
+    and the same operation tables: it is that fiber product, not
+    merely isomorphic to it."""
     rep = VerificationReport(
         "pull_identity", instance or am.description, PASS,
     )
@@ -583,9 +600,12 @@ def pull_identity_check(am: Amalgam, instance: str | None = None) -> Verificatio
 
 
 def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> VerificationReport:
-    """Two further pullback presentations: over A x B/J via u(a) = (a, f(a)+J)
-    and v(a,b) = (a, b+J); and over A/I x B/J (I the preimage of J) via the
-    induced maps. Each comes with an explicit iso witness onto the amalgam."""
+    """two further fiber-product presentations collapse onto the amalgam
+
+    The amalgam is also the fiber product of u: a -> (a, f(a)+J)
+    against v: (a,b) -> (a, b+J) over A x B/J, and of the maps these
+    induce over A/I x B/J with I the preimage of J. Both collapse
+    maps are validated as bijective homs."""
     rep = VerificationReport(
         "alt_pullbacks", instance or am.description, PASS,
     )
@@ -642,10 +662,12 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
 
 def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
                  instance: str | None = None) -> VerificationReport:
-    """The pullback of alpha and beta is an amalgam along f for some ideal
-    exactly when alpha = beta o f, and then the ideal is Ker(beta). Both
-    directions are checked: on the positive side by set equality with the
-    reconstructed amalgam, on the negative side by exhausting every ideal."""
+    """pullback of (alpha, beta) is an amalgam along f iff alpha = beta o f
+
+    The fiber product of alpha: A -> C and beta: B -> C equals the
+    amalgam of f: A -> B along some ideal exactly when
+    alpha = beta o f, and the ideal is then Ker(beta). The negative
+    direction is certified by exhausting all ideals of B."""
     if f.domain != alpha.domain or f.codomain != beta.domain \
             or alpha.codomain != beta.codomain:
         raise AmbientMismatch("factor_check needs f: A->B under alpha: A->C, beta: B->C")
@@ -689,12 +711,16 @@ def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
 def retraction_criterion_check(alpha: RingHom, beta: RingHom,
                                budget: int | None = None,
                                instance: str | None = None) -> VerificationReport:
-    """A pullback is an amalgam of its left factor exactly when the left
-    projection admits a section. A found section rebuilds (f, J) and the
-    element set is compared; an exhausted fruitless search is certified by
-    also exhausting every (hom, ideal) presentation. Both searches charge
-    `budget`; when either cannot finish inside it there is no certificate,
-    and the verdict is hypothesis_not_met."""
+    """a pullback is an amalgam of its left ring iff a section exists
+
+    For the fiber product of alpha: A -> C and beta: B -> C, the
+    left projection admitting a section is equivalent to the
+    pullback being the amalgam of some f: A -> B along Ker(beta).
+    A found section rebuilds (f, J) and the sets are compared; a
+    certified fruitless search is cross-checked by exhausting every
+    (hom, ideal) presentation."""
+    # Both searches charge `budget`; when either cannot finish inside it
+    # there is no certificate, and the verdict is hypothesis_not_met.
     if budget is None:
         budget = config.DEFAULT_SEARCH_BUDGET
     rep = VerificationReport(
@@ -763,8 +789,13 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
 
 def retraction_roundtrip(am: Amalgam, budget: int | None = None,
                          instance: str | None = None) -> VerificationReport:
-    """Feed an amalgam back in as a pullback: the section must be found, and
-    the reconstructed ideal must be exactly J."""
+    """an amalgam re-entered as a pullback yields a section and J
+
+    Present the amalgam as the fiber product of the induced map to
+    B/J against the projection. The left projection admits a
+    section (a -> (a, f(a)) gives one), and composing the section
+    with the right projection recovers a hom whose amalgam along
+    Ker(projection) = J is the original element set."""
     rep = VerificationReport(
         "retraction_roundtrip", instance or am.description, PASS,
     )
@@ -795,10 +826,13 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
 
 def pullback_reduced_check(alpha: RingHom, beta: RingHom,
                            instance: str | None = None) -> VerificationReport:
-    """Necessary conditions and sufficient conditions for a reduced pullback:
-    reduced forces both nilradical-kernel intersections trivial; either
-    one-sided condition (left ring reduced plus trivial intersection on the
-    right, or symmetrically) forces reduced."""
+    """reducedness transfer across a fiber product
+
+    If the fiber product of alpha and beta is reduced then both
+    Nilp(A) meet Ker(alpha) and Nilp(B) meet Ker(beta) are trivial;
+    conversely A reduced with the beta-side intersection trivial
+    forces the fiber product reduced, and symmetrically. All three
+    implications are evaluated on the instance."""
     rep = VerificationReport(
         "pullback_reduced", instance or f"{alpha.name} vs {beta.name}", PASS,
     )
@@ -828,7 +862,12 @@ def pullback_reduced_check(alpha: RingHom, beta: RingHom,
 
 def kernel_identity_check(alpha: RingHom, beta: RingHom,
                           instance: str | None = None) -> VerificationReport:
-    """Ker(proj_left) = {0} x Ker(beta), element by element."""
+    """kernel of the left projection is {0} x Ker(beta)
+
+    In the fiber product of alpha and beta, an element (a, b) maps
+    to zero under the left projection exactly when a = 0 and
+    beta(b) = 0. The two membership masks are compared element by
+    element."""
     rep = VerificationReport(
         "kernel_identity", instance or f"{alpha.name} vs {beta.name}", PASS,
     )
@@ -857,10 +896,13 @@ def embedded_ideal(am: Amalgam, I: Ideal) -> Ideal:
 
 def canonical_isos(am: Amalgam, I: Ideal | None = None,
                    instance: str | None = None) -> VerificationReport:
-    """The four quotient presentations of an amalgam, each validated through
-    its explicit induced map: by the embedded ideal I join J (giving A/I), by
-    {0} x J (giving A), by preimage x {0} (giving f(A)+J), and by
-    preimage x J (giving (f(A)+J)/J, or B/J when f is surjective)."""
+    """the four quotient presentations of an amalgam
+
+    Writing I for the preimage of J: the amalgam modulo the embedded
+    ideal {(i, f(i)+j)} is A/I; modulo {0} x J it is A; modulo
+    I x {0} it is f(A)+J; modulo I x J it is (f(A)+J)/J, and B/J
+    when f is surjective. Each is verified through its explicit
+    induced map."""
     rep = VerificationReport(
         "canonical_isos", instance or am.description, PASS,
     )
@@ -923,11 +965,13 @@ def canonical_isos(am: Amalgam, I: Ideal | None = None,
 
 
 def domain_criterion_check(am: Amalgam, instance: str | None = None) -> VerificationReport:
-    """For J nonzero: the amalgam is a domain exactly when f(A)+J is a domain
-    and the preimage of J is trivial. On finite instances both sides are
-    provably false (a finite domain is a field, and a field admits no proper
-    nonzero ideal), so the check both verifies the equivalence and documents
-    the degeneracy. J = 0 falls outside the hypothesis and is reported so."""
+    """amalgam a domain iff f(A)+J is and the preimage of J is zero
+
+    For nonzero J the amalgam is an integral domain exactly when
+    f(A)+J is one and f^{-1}(J) = 0. Finite instances make both
+    sides provably false (a finite domain is a field, and a field
+    has no proper nonzero ideal), so the equivalence is exercised
+    in its degenerate regime and the degeneracy is reported."""
     rep = VerificationReport(
         "domain_criterion", instance or am.description, PASS,
     )
@@ -955,9 +999,12 @@ def domain_criterion_check(am: Amalgam, instance: str | None = None) -> Verifica
 
 
 def reduced_criterion_check(am: Amalgam, instance: str | None = None) -> VerificationReport:
-    """The amalgam is reduced exactly when the base is reduced and the
-    nilradical of the target meets J trivially. Also exercises the corollary:
-    a radical J plus a reduced amalgam forces the target reduced."""
+    """amalgam reduced iff base reduced and Nilp(B) meets J trivially
+
+    The amalgam has no nonzero nilpotents exactly when A has none
+    and no nonzero nilpotent of B lies in J. When J is radical and
+    the amalgam is reduced, B itself must be reduced; the check
+    verifies the equivalence and that corollary on the instance."""
     rep = VerificationReport(
         "reduced_criterion", instance or am.description, PASS,
     )
@@ -982,9 +1029,12 @@ def reduced_criterion_check(am: Amalgam, instance: str | None = None) -> Verific
 
 def reduced_converse_search(amalgams: list[Amalgam],
                             instance: str | None = None) -> VerificationReport:
-    """Scan instances for a reduced amalgam whose f(A)+J is not reduced (the
-    base reduced, nilradical of the target meeting J trivially). Reports the
-    find or its absence honestly; no instance is fabricated."""
+    """search for a reduced amalgam over a non-reduced f(A)+J
+
+    Scans the given amalgams for one whose base is reduced and whose
+    ideal meets the target's nilradical trivially while f(A)+J is
+    not reduced. Reports the witness or its absence; absence is a
+    statement about the scanned instances only."""
     rep = VerificationReport(
         "reduced_converse_search", instance or f"{len(amalgams)} instances", PASS,
     )

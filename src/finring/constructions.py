@@ -21,6 +21,7 @@ from .errors import (
     HypothesisViolated,
     IncompatibleStructures,
     InvalidParameter,
+    InvariantViolated,
     NotPrime,
 )
 from .morphisms import (
@@ -104,20 +105,24 @@ def nagata_idealization(base: FiniteRng, module: FiniteModule,
     proj_base = RingHom(ring, base, ds.proj_base.map, unital=True,
                         name="base_projection", check=False)
     emb = embed_module.map
-    assert (ring.mul[np.ix_(emb, emb)] == ring.zero).all(), \
-        "embedded module is not square-zero"
+    if not (ring.mul[np.ix_(emb, emb)] == ring.zero).all():
+        raise InvariantViolated("embedded module is not square-zero")
     idl = Idealization(ring, base, module, part, embed_base, embed_module,
                        proj_base)
-    assert ideal_mask_witness(ring, idl.module_ideal().members) is None, \
-        "embedded module is not an ideal"
+    if ideal_mask_witness(ring, idl.module_ideal().members) is not None:
+        raise InvariantViolated("embedded module is not an ideal")
     return idl
 
 
 def nagata_as_amalgam_check(base: FiniteRng, module: FiniteModule,
                             instance: str | None = None) -> VerificationReport:
-    """The square-zero extension coincides with the amalgam of its own base
-    embedding along the embedded module: the map (a, iota(a)+j) -> iota(a)+j
-    is a bijective hom, checked directly."""
+    """a square-zero extension equals its own amalgam
+
+    Make the ideal J a module over A through f, build the
+    square-zero extension B = A x J with (a,x)(a',x') =
+    (aa', a.x' + a'.x), and amalgamate the base embedding along the
+    embedded module. The collapse (a, iota(a)+j) -> iota(a)+j is a
+    bijective hom onto B."""
     idl = nagata_idealization(base, module)
     rep = VerificationReport(
         "nagata_as_amalgam",
@@ -144,9 +149,12 @@ def nagata_as_amalgam_check(base: FiniteRng, module: FiniteModule,
 
 def d_plus_m(T: FiniteRng, D: Subrng, Ms: list[Ideal],
              instance: str | None = None) -> tuple[Subrng, VerificationReport]:
-    """D + J for J the intersection of the given maximal ideals, each meeting
-    D only in 0. Returns the sum as a subring of T together with the verified
-    isomorphism from the amalgam of the inclusion D -> T along J."""
+    """coefficient subring plus an intersection of maximal ideals
+
+    For maximal ideals M_i of T each meeting the unital subring D
+    only in 0, set J to their intersection. D + J is a subring of T
+    of order |D| * |J|, and the second projection of the amalgam of
+    the inclusion D -> T along J is a bijective hom onto it."""
     if D.ring != T:
         raise AmbientMismatch("subring does not live in T")
     if not Ms:
@@ -190,7 +198,7 @@ def d_plus_m(T: FiniteRng, D: Subrng, Ms: list[Ideal],
     if not (set_ok and valid and order_ok):
         rep.status = FAIL
         rep.counterexample = "sum subring does not match its amalgam"
-    return result, rep
+    return result, rep  # D + J as a subring of T
 
 
 # -- localization preimage rings --------------------------------------------------------
@@ -206,11 +214,13 @@ def _unit_inverses(ring: FiniteRng) -> np.ndarray:
 
 def cpi_prime(A: FiniteRng, P: Ideal,
               instance: str | None = None) -> tuple[FiniteRng, VerificationReport]:
-    """Localize at the complement of a prime P, cut the localization by the
-    extension of P to get the residue field, and take the preimage of the
-    canonical copy of A/P. The result equals lambda(A) + P-extension as a set
-    and is the amalgam of lambda along that extension modulo the kernel of
-    the second projection; both identifications are verified."""
+    """preimage ring of a prime's residue embedding
+
+    Localize A at the complement of a prime P, extend P, and map
+    onto the residue field. The preimage of the canonical copy of
+    A/P equals lambda(A) + P-extension as a set, and the amalgam of
+    lambda along the extension, modulo the kernel of its second
+    projection, is isomorphic to it by an explicit witness."""
     if P.ring != A:
         raise AmbientMismatch("ideal does not live in the given ring")
     if not is_prime(P):
@@ -258,9 +268,12 @@ def cpi_prime(A: FiniteRng, P: Ideal,
 
 def cpi_ideal(A: FiniteRng, I: Ideal,
               instance: str | None = None) -> tuple[FiniteRng, VerificationReport]:
-    """The same preimage construction for an arbitrary proper ideal: localize
-    at the elements regular modulo I, reduce fractions into the total
-    quotient ring of A/I, and pull back the canonical copy of A/I."""
+    """preimage ring of an arbitrary proper ideal
+
+    Localize A at the elements regular modulo I, reduce fractions
+    into the total quotient ring of A/I, and pull back the canonical
+    copy of A/I. The preimage equals lambda(A) + extension of I, and
+    the amalgam-quotient witness validates as for the prime case."""
     if I.ring != A:
         raise AmbientMismatch("ideal does not live in the given ring")
     if I.size == A.order and A.order > 1:
@@ -282,8 +295,8 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
     inv_tot = _unit_inverses(tot)
     s_loc = lam.map[S]
     s_tot = lamQ.map[piI.map[S]]
-    assert (inv_loc[s_loc] >= 0).all() and (inv_tot[s_tot] >= 0).all(), \
-        "a denominator failed to invert"
+    if (inv_loc[s_loc] < 0).any() or (inv_tot[s_tot] < 0).any():
+        raise InvariantViolated("a denominator failed to invert")
     e_idx = loc.mul[lam.map[:, None], inv_loc[s_loc][None, :]]
     t_idx = tot.mul[lamQ.map[piI.map][:, None], inv_tot[s_tot][None, :]]
     phi_map = np.full(loc.order, -1, dtype=np.int64)
@@ -326,9 +339,12 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
 def trunc_poly_amalgam(A: Subrng, B: FiniteRng, J: Ideal, num_vars: int,
                        max_deg: int, instance: str | None = None,
                        ) -> tuple[FiniteRng, VerificationReport]:
-    """Inside the truncated polynomial ring over B: the subring of elements
-    whose constant term lies in A and whose other coefficients lie in J.
-    Verified equal to the amalgam of the constant embedding of A along the
+    """constrained truncated polynomials form an amalgam
+
+    Inside truncated polynomials over B, the elements with constant
+    term in the subring A and all other coefficients in the ideal J
+    form a subring of order |A| * |J|^(nonconstant monomials). It
+    equals the amalgam of the constant embedding of A along the
     ideal of zero-constant-term polynomials with coefficients in J."""
     if A.ring != B or J.ring != B:
         raise AmbientMismatch("subring and ideal must live in B")
@@ -378,9 +394,12 @@ def trunc_poly_amalgam(A: Subrng, B: FiniteRng, J: Ideal, num_vars: int,
 
 
 def noetherian_report(am: Amalgam, instance: str | None = None) -> VerificationReport:
-    """Every finiteness criterion an amalgam needs is automatic on finite
-    data; the value of the report is the computed evidence, chiefly a minimum
-    generating set for J as a module over the base."""
+    """finiteness evidence for an amalgam's chain conditions
+
+    On finite instances every chain condition holds; the check
+    computes the supporting data: a minimum generating set for J as
+    a module over the base through f, finiteness of the base, of
+    f(A)+J, and of the induced residue map."""
     rep = VerificationReport(
         "noetherian", instance or am.description, PASS,
     )
@@ -405,11 +424,16 @@ def noetherian_report(am: Amalgam, instance: str | None = None) -> VerificationR
 
 def noetherian_verdict_xjx(A: Subrng, B: FiniteRng, J: Ideal,
                            instance: str | None = None) -> VerificationReport:
-    """Verdicts for the polynomial extensions that adjoin a variable with
-    coefficients constrained to J (Noetherian exactly when J is idempotent)
-    or unconstrained (always Noetherian over finite data, the extension being
-    module-finite). The infinite rings are never built; the report evaluates
-    the finite hypotheses and is labeled theorem-backed."""
+    """theorem-backed verdicts for polynomial extensions
+
+    For a unital subring A of B and an ideal J of B, the ring of
+    polynomials with constant term in A and other coefficients in J
+    is Noetherian exactly when J is idempotent (J*J = J), while the
+    unconstrained version with coefficients in B is Noetherian
+    whenever the data are finite (the extension is module-finite).
+    The infinite rings are never constructed; the report evaluates
+    J*J against J and the finite hypotheses, and carries status
+    theorem_backed."""
     if A.ring != B or J.ring != B:
         raise AmbientMismatch("subring and ideal must live in B")
     if not A.has_one:

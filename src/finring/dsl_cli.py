@@ -9,20 +9,24 @@ it, and the evaluator caches values by rendered form, which makes repeated
 checks on one instance cheap and report order independent of caching.
 
 Exit codes: 0 when no check fails, 1 when any check fails, 2 for usage,
-parse, or name errors. Precondition violations inside a check (guard
-exceeded, non-prime ideal, hypothesis not satisfied) become reports with
-status hypothesis_not_met rather than run failures.
+parse, or name errors, 3 when a check raises an unexpected error.
+Precondition violations inside a check (guard exceeded, non-prime ideal,
+hypothesis not satisfied) become reports with status hypothesis_not_met
+rather than run failures; a violated internal invariant fails its check.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .constructions import (
 from .errors import (
     EvaluationError,
     FinringError,
+    InvariantViolated,
     ScriptSyntaxError,
     TypeMismatch,
     UnknownName,
@@ -84,76 +89,54 @@ from .subobjects import (
 # -- tokens ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     value: str
     line: int
     col: int
 
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI", "=": "EQUALS"}
+# One alternative per token kind, tried in order at each position. NAME
+# takes any run of word characters; a run that starts with neither a letter
+# nor '_' (a digit that is not decimal, such as '²') is an unexpected
+# character, and so is whatever MISMATCH takes.
+_TOKEN_RE = re.compile(r"""
+    (?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+) | (?P<COMMENT>\#[^\n]*)
+  | (?P<ARROW>->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+  | (?P<SEMI>;) | (?P<EQUALS>=) | (?P<STRING>"[^"\n]*") | (?P<NUMBER>\d+)
+  | (?P<NAME>\w+) | (?P<MISMATCH>.)
+""", re.VERBOSE)
+
+_PLAIN = frozenset(("ARROW", "LPAREN", "RPAREN", "COMMA", "SEMI", "EQUALS",
+                    "NUMBER"))
 
 
 def tokenize(text: str) -> list[Token]:
+    """Script text to tokens ending with EOF, each at its 1-based line and
+    column. Raises ScriptSyntaxError at the first character no token takes."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("ARROW", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ScriptSyntaxError("unterminated string", line, start_col,
-                                        ('"',))
-            tokens.append(Token("STRING", text[i + 1:j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ScriptSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    kind = start = None
+    for mo in _TOKEN_RE.finditer(text):
+        kind, value, start = mo.lastgroup, mo.group(), mo.start()
+        col = start - line_start + 1
+        if kind in _PLAIN or kind == "NAME" and (value[0].isalpha()
+                                                 or value[0] == "_"):
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "SKIP" or kind == "COMMENT":
+            pass
+        elif kind == "NEWLINE":
+            line, line_start = line + 1, start + 1
+        elif kind == "STRING":
+            tokens.append(Token(kind, value[1:-1], line, col))
+        elif value == '"':
+            raise ScriptSyntaxError("unterminated string", line, col, ('"',))
+        else:
+            raise ScriptSyntaxError(f"unexpected character {value[0]!r}",
+                                    line, col)
+    # a trailing comment leaves the end-of-input column at its '#'
+    end = start if kind == "COMMENT" else len(text)
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -536,8 +519,13 @@ class CheckSpec:
         return sig + ", ..." if self.variadic else sig
 
 
-def _run_cardinality(vals, instance: str) -> VerificationReport:
-    am = vals[0]
+def _run_cardinality(am, instance: str) -> VerificationReport:
+    """order of an amalgam is |A| * |J|
+
+    The amalgam of f: A -> B along an ideal J of B is the subring
+    {(a, f(a)+j)} of A x B. The assignment (a, j) -> (a, f(a)+j) is
+    injective, so the order equals |A| * |J| exactly, and the graph
+    {(a, f(a))} sits inside it as the j = 0 slice."""
     rep = VerificationReport("cardinality", instance, PASS)
     rep.add("base_order", am.base.order)
     rep.add("ideal_order", am.ideal.size)
@@ -556,8 +544,14 @@ def _run_cardinality(vals, instance: str) -> VerificationReport:
     return rep
 
 
-def _run_dotted_presentation(vals, instance: str) -> VerificationReport:
-    am = vals[0]
+def _run_dotted_presentation(am, instance: str) -> VerificationReport:
+    """amalgam carries a split extension of A by J
+
+    On A x J with product (a,x)(a',x') = (aa', a.x' + a'.x + xx')
+    transported through f, the amalgam splits: the base embeds, J
+    embeds as an ideal, the base projection retracts the embedding,
+    and the explicit coordinate map onto the pair form is a bijective
+    hom."""
     rep = VerificationReport("dotted_presentation", instance, PASS)
     split = split_sequence_check(am.dotted)
     for w in split.witnesses:
@@ -570,279 +564,53 @@ def _run_dotted_presentation(vals, instance: str) -> VerificationReport:
     return rep
 
 
-def _run_dorroh(vals, instance: str) -> VerificationReport:
-    part, _ = ideal_as_rng(vals[0])
-    return dorroh_check(part, None, instance)
-
-
-def _run_nagata(vals, instance: str) -> VerificationReport:
-    f, J = vals
-    M = module_via_hom(f, J)
-    return nagata_as_amalgam_check(f.domain, M, instance)
-
-
-def _run_d_plus_m(vals, instance: str) -> VerificationReport:
-    sub = vals[0]
-    _, rep = d_plus_m(sub.ring, sub, list(vals[1:]), instance)
-    return rep
-
-
-def _run_cpi_prime(vals, instance: str) -> VerificationReport:
-    _, rep = cpi_prime(vals[0], vals[1], instance)
-    return rep
-
-
-def _run_cpi_ideal(vals, instance: str) -> VerificationReport:
-    _, rep = cpi_ideal(vals[0], vals[1], instance)
-    return rep
-
-
-def _run_trunc_poly_amalgam(vals, instance: str) -> VerificationReport:
-    sub, J, nv, deg = vals
-    _, rep = trunc_poly_amalgam(sub, sub.ring, J, nv, deg, instance)
-    return rep
-
-
-def _run_noetherian_xjx(vals, instance: str) -> VerificationReport:
-    sub, J = vals
-    return noetherian_verdict_xjx(sub, sub.ring, J, instance)
-
-
-def _spec(name, params, summary, statement, runner, variadic=False):
+def _spec(name, params, fn, runner=None, variadic=False) -> CheckSpec:
+    """The first line of `fn`'s docstring is the summary and the rest the
+    statement; both are empty when docstrings are stripped (python -OO).
+    The default runner hands the argument values on to `fn`."""
+    summary, _, statement = (inspect.getdoc(fn) or "").partition("\n\n")
+    runner = runner or (lambda vals, inst: fn(*vals, instance=inst))
     return CheckSpec(name, tuple(params), variadic, summary, statement, runner)
 
 
 REGISTRY: dict[str, CheckSpec] = {
     s.name: s
     for s in [
-        _spec(
-            "cardinality", (AMALGAM,),
-            "order of an amalgam is |A| * |J|",
-            "The amalgam of f: A -> B along an ideal J of B is the subring\n"
-            "{(a, f(a)+j)} of A x B. The assignment (a, j) -> (a, f(a)+j) is\n"
-            "injective, so the order equals |A| * |J| exactly, and the graph\n"
-            "{(a, f(a))} sits inside it as the j = 0 slice.",
-            _run_cardinality,
-        ),
-        _spec(
-            "dotted_presentation", (AMALGAM,),
-            "amalgam carries a split extension of A by J",
-            "On A x J with product (a,x)(a',x') = (aa', a.x' + a'.x + xx')\n"
-            "transported through f, the amalgam splits: the base embeds, J\n"
-            "embeds as an ideal, the base projection retracts the embedding,\n"
-            "and the explicit coordinate map onto the pair form is a bijective\n"
-            "hom.",
-            _run_dotted_presentation,
-        ),
-        _spec(
-            "pull_identity", (AMALGAM,),
-            "amalgam equals the fiber product over B/J",
-            "Let pi: B -> B/J be the projection and f' = pi o f. The amalgam\n"
-            "of f along J has exactly the element set {(a,b) : f'(a) = pi(b)}\n"
-            "and the same operation tables: it is that fiber product, not\n"
-            "merely isomorphic to it.",
-            lambda vals, inst: pull_identity_check(vals[0], inst),
-        ),
-        _spec(
-            "alt_pullbacks", (AMALGAM,),
-            "two further fiber-product presentations collapse onto the amalgam",
-            "The amalgam is also the fiber product of u: a -> (a, f(a)+J)\n"
-            "against v: (a,b) -> (a, b+J) over A x B/J, and of the maps these\n"
-            "induce over A/I x B/J with I the preimage of J. Both collapse\n"
-            "maps are validated as bijective homs.",
-            lambda vals, inst: alt_pullback_checks(vals[0], inst),
-        ),
-        _spec(
-            "canonical_isos", (AMALGAM,),
-            "the four quotient presentations of an amalgam",
-            "Writing I for the preimage of J: the amalgam modulo the embedded\n"
-            "ideal {(i, f(i)+j)} is A/I; modulo {0} x J it is A; modulo\n"
-            "I x {0} it is f(A)+J; modulo I x J it is (f(A)+J)/J, and B/J\n"
-            "when f is surjective. Each is verified through its explicit\n"
-            "induced map.",
-            lambda vals, inst: canonical_isos(vals[0], None, inst),
-        ),
-        _spec(
-            "reduced_criterion", (AMALGAM,),
-            "amalgam reduced iff base reduced and Nilp(B) meets J trivially",
-            "The amalgam has no nonzero nilpotents exactly when A has none\n"
-            "and no nonzero nilpotent of B lies in J. When J is radical and\n"
-            "the amalgam is reduced, B itself must be reduced; the check\n"
-            "verifies the equivalence and that corollary on the instance.",
-            lambda vals, inst: reduced_criterion_check(vals[0], inst),
-        ),
-        _spec(
-            "domain_criterion", (AMALGAM,),
-            "amalgam a domain iff f(A)+J is and the preimage of J is zero",
-            "For nonzero J the amalgam is an integral domain exactly when\n"
-            "f(A)+J is one and f^{-1}(J) = 0. Finite instances make both\n"
-            "sides provably false (a finite domain is a field, and a field\n"
-            "has no proper nonzero ideal), so the equivalence is exercised\n"
-            "in its degenerate regime and the degeneracy is reported.",
-            lambda vals, inst: domain_criterion_check(vals[0], inst),
-        ),
-        _spec(
-            "same_amalgam", (HOM, HOM, IDEAL),
-            "two homs give one amalgam iff they agree modulo the ideal",
-            "For f, g: A -> B and an ideal J of B, the element sets\n"
-            "{(a, f(a)+j)} and {(a, g(a)+j)} coincide exactly when\n"
-            "f(a) - g(a) lies in J for every a. Both sides are computed\n"
-            "independently and compared.",
-            lambda vals, inst: same_amalgam(vals[0], vals[1], vals[2], inst),
-        ),
-        _spec(
-            "iterated_iso", (HOM, IDEAL, INT),
-            "the n-fold amalgam is a duplication of the (n-1)-fold one",
-            "Amalgamating the diagonal map into B^n along J^n gives a ring of\n"
-            "order |A| * |J|^n, and the coordinate shuffle\n"
-            "(a,(b_1..b_n)) -> ((a,(b_1..b_{n-1})), (a,(b_1..b_{n-2},b_n)))\n"
-            "identifies it with the duplication of the (n-1)-fold amalgam\n"
-            "along its embedded copy of J. The shuffle is validated as a\n"
-            "bijective hom.",
-            lambda vals, inst: iter_iso_check(vals[0], vals[1], vals[2], inst),
-        ),
-        _spec(
-            "retraction_roundtrip", (AMALGAM,),
-            "an amalgam re-entered as a pullback yields a section and J",
-            "Present the amalgam as the fiber product of the induced map to\n"
-            "B/J against the projection. The left projection admits a\n"
-            "section (a -> (a, f(a)) gives one), and composing the section\n"
-            "with the right projection recovers a hom whose amalgam along\n"
-            "Ker(projection) = J is the original element set.",
-            lambda vals, inst: retraction_roundtrip(vals[0], None, inst),
-        ),
-        _spec(
-            "retraction_criterion", (HOM, HOM),
-            "a pullback is an amalgam of its left ring iff a section exists",
-            "For the fiber product of alpha: A -> C and beta: B -> C, the\n"
-            "left projection admitting a section is equivalent to the\n"
-            "pullback being the amalgam of some f: A -> B along Ker(beta).\n"
-            "A found section rebuilds (f, J) and the sets are compared; a\n"
-            "certified fruitless search is cross-checked by exhausting every\n"
-            "(hom, ideal) presentation.",
-            lambda vals, inst: retraction_criterion_check(
-                vals[0], vals[1], None, inst
-            ),
-        ),
-        _spec(
-            "pullback_presentation", (HOM, HOM, HOM),
-            "pullback of (alpha, beta) is an amalgam along f iff alpha = beta o f",
-            "The fiber product of alpha: A -> C and beta: B -> C equals the\n"
-            "amalgam of f: A -> B along some ideal exactly when\n"
-            "alpha = beta o f, and the ideal is then Ker(beta). The negative\n"
-            "direction is certified by exhausting all ideals of B.",
-            lambda vals, inst: factor_check(vals[0], vals[1], vals[2], inst),
-        ),
-        _spec(
-            "pullback_reduced", (HOM, HOM),
-            "reducedness transfer across a fiber product",
-            "If the fiber product of alpha and beta is reduced then both\n"
-            "Nilp(A) meet Ker(alpha) and Nilp(B) meet Ker(beta) are trivial;\n"
-            "conversely A reduced with the beta-side intersection trivial\n"
-            "forces the fiber product reduced, and symmetrically. All three\n"
-            "implications are evaluated on the instance.",
-            lambda vals, inst: pullback_reduced_check(vals[0], vals[1], inst),
-        ),
-        _spec(
-            "kernel_identity", (HOM, HOM),
-            "kernel of the left projection is {0} x Ker(beta)",
-            "In the fiber product of alpha and beta, an element (a, b) maps\n"
-            "to zero under the left projection exactly when a = 0 and\n"
-            "beta(b) = 0. The two membership masks are compared element by\n"
-            "element.",
-            lambda vals, inst: kernel_identity_check(vals[0], vals[1], inst),
-        ),
-        _spec(
-            "dorroh", (IDEAL,),
-            "identity adjunction to an ideal viewed as a rng",
-            "Take the ideal as a rng R of characteristic n and form the ring\n"
-            "on (Z/nZ) x R with product (a,x)(a',x') = (aa', ax' + a'x + xx').\n"
-            "The result is unital with identity (1,0), has characteristic n,\n"
-            "contains R as an ideal with quotient Z/nZ (witnessed by an\n"
-            "explicit iso), and is covered by multiples of the identity\n"
-            "plus R.",
-            _run_dorroh,
-        ),
-        _spec(
-            "nagata_as_amalgam", (HOM, IDEAL),
-            "a square-zero extension equals its own amalgam",
-            "Make the ideal J a module over A through f, build the\n"
-            "square-zero extension B = A x J with (a,x)(a',x') =\n"
-            "(aa', a.x' + a'.x), and amalgamate the base embedding along the\n"
-            "embedded module. The collapse (a, iota(a)+j) -> iota(a)+j is a\n"
-            "bijective hom onto B.",
-            _run_nagata,
-        ),
-        _spec(
-            "d_plus_m", (SUBRING, IDEAL),
-            "coefficient subring plus an intersection of maximal ideals",
-            "For maximal ideals M_i of T each meeting the unital subring D\n"
-            "only in 0, set J to their intersection. D + J is a subring of T\n"
-            "of order |D| * |J|, and the second projection of the amalgam of\n"
-            "the inclusion D -> T along J is a bijective hom onto it.",
-            _run_d_plus_m, variadic=True,
-        ),
-        _spec(
-            "cpi_prime", (RING, IDEAL),
-            "preimage ring of a prime's residue embedding",
-            "Localize A at the complement of a prime P, extend P, and map\n"
-            "onto the residue field. The preimage of the canonical copy of\n"
-            "A/P equals lambda(A) + P-extension as a set, and the amalgam of\n"
-            "lambda along the extension, modulo the kernel of its second\n"
-            "projection, is isomorphic to it by an explicit witness.",
-            _run_cpi_prime,
-        ),
-        _spec(
-            "cpi_ideal", (RING, IDEAL),
-            "preimage ring of an arbitrary proper ideal",
-            "Localize A at the elements regular modulo I, reduce fractions\n"
-            "into the total quotient ring of A/I, and pull back the canonical\n"
-            "copy of A/I. The preimage equals lambda(A) + extension of I, and\n"
-            "the amalgam-quotient witness validates as for the prime case.",
-            _run_cpi_ideal,
-        ),
-        _spec(
-            "trunc_poly_amalgam", (SUBRING, IDEAL, INT, INT),
-            "constrained truncated polynomials form an amalgam",
-            "Inside truncated polynomials over B, the elements with constant\n"
-            "term in the subring A and all other coefficients in the ideal J\n"
-            "form a subring of order |A| * |J|^(nonconstant monomials). It\n"
-            "equals the amalgam of the constant embedding of A along the\n"
-            "ideal of zero-constant-term polynomials with coefficients in J.",
-            _run_trunc_poly_amalgam,
-        ),
-        _spec(
-            "noetherian", (AMALGAM,),
-            "finiteness evidence for an amalgam's chain conditions",
-            "On finite instances every chain condition holds; the check\n"
-            "computes the supporting data: a minimum generating set for J as\n"
-            "a module over the base through f, finiteness of the base, of\n"
-            "f(A)+J, and of the induced residue map.",
-            lambda vals, inst: noetherian_report(vals[0], inst),
-        ),
-        _spec(
-            "noetherian_xjx", (SUBRING, IDEAL),
-            "theorem-backed verdicts for polynomial extensions",
-            "For a unital subring A of B and an ideal J of B, the ring of\n"
-            "polynomials with constant term in A and other coefficients in J\n"
-            "is Noetherian exactly when J is idempotent (J*J = J), while the\n"
-            "unconstrained version with coefficients in B is Noetherian\n"
-            "whenever the data are finite (the extension is module-finite).\n"
-            "The infinite rings are never constructed; the report evaluates\n"
-            "J*J against J and the finite hypotheses, and carries status\n"
-            "theorem_backed.",
-            _run_noetherian_xjx,
-        ),
-        _spec(
-            "reduced_converse_search", (AMALGAM,),
-            "search for a reduced amalgam over a non-reduced f(A)+J",
-            "Scans the given amalgams for one whose base is reduced and whose\n"
-            "ideal meets the target's nilradical trivially while f(A)+J is\n"
-            "not reduced. Reports the witness or its absence; absence is a\n"
-            "statement about the scanned instances only.",
-            lambda vals, inst: reduced_converse_search(list(vals), inst),
-            variadic=True,
-        ),
+        _spec("cardinality", (AMALGAM,), _run_cardinality),
+        _spec("dotted_presentation", (AMALGAM,), _run_dotted_presentation),
+        _spec("pull_identity", (AMALGAM,), pull_identity_check),
+        _spec("alt_pullbacks", (AMALGAM,), alt_pullback_checks),
+        _spec("canonical_isos", (AMALGAM,), canonical_isos),
+        _spec("reduced_criterion", (AMALGAM,), reduced_criterion_check),
+        _spec("domain_criterion", (AMALGAM,), domain_criterion_check),
+        _spec("same_amalgam", (HOM, HOM, IDEAL), same_amalgam),
+        _spec("iterated_iso", (HOM, IDEAL, INT), iter_iso_check),
+        _spec("retraction_roundtrip", (AMALGAM,), retraction_roundtrip),
+        _spec("retraction_criterion", (HOM, HOM), retraction_criterion_check),
+        _spec("pullback_presentation", (HOM, HOM, HOM), factor_check),
+        _spec("pullback_reduced", (HOM, HOM), pullback_reduced_check),
+        _spec("kernel_identity", (HOM, HOM), kernel_identity_check),
+        _spec("dorroh", (IDEAL,), dorroh_check, lambda vals, inst: dorroh_check(
+            ideal_as_rng(vals[0])[0], instance=inst)),
+        _spec("nagata_as_amalgam", (HOM, IDEAL), nagata_as_amalgam_check,
+              lambda vals, inst: nagata_as_amalgam_check(
+                  vals[0].domain, module_via_hom(*vals), instance=inst)),
+        _spec("d_plus_m", (SUBRING, IDEAL), d_plus_m, lambda vals, inst: d_plus_m(
+            vals[0].ring, vals[0], vals[1:], inst)[1], variadic=True),
+        _spec("cpi_prime", (RING, IDEAL), cpi_prime,
+              lambda vals, inst: cpi_prime(*vals, inst)[1]),
+        _spec("cpi_ideal", (RING, IDEAL), cpi_ideal,
+              lambda vals, inst: cpi_ideal(*vals, inst)[1]),
+        _spec("trunc_poly_amalgam", (SUBRING, IDEAL, INT, INT), trunc_poly_amalgam,
+              lambda vals, inst: trunc_poly_amalgam(
+                  vals[0], vals[0].ring, *vals[1:], inst)[1]),
+        _spec("noetherian", (AMALGAM,), noetherian_report),
+        _spec("noetherian_xjx", (SUBRING, IDEAL), noetherian_verdict_xjx,
+              lambda vals, inst: noetherian_verdict_xjx(
+                  vals[0], vals[0].ring, vals[1], inst)),
+        _spec("reduced_converse_search", (AMALGAM,), reduced_converse_search,
+              lambda vals, inst: reduced_converse_search(vals, inst),
+              variadic=True),
     ]
 }
 
@@ -863,6 +631,9 @@ def evaluate(script: Script) -> list[VerificationReport]:
         except FinringError as exc:
             rep = VerificationReport(chk.name, instance, HYPOTHESIS_NOT_MET)
             rep.add("note", str(exc))
+        except InvariantViolated as exc:
+            rep = VerificationReport(chk.name, instance, FAIL)
+            rep.counterexample = str(exc)
         except Exception as exc:
             raise EvaluationError(f"{chk.name}: {exc}", chk.line, chk.col) from exc
         rep.millis = (time.perf_counter() - start) * 1000.0
@@ -1167,6 +938,8 @@ def main(argv: list[str] | None = None) -> int:
     with _stdout():
         args = parser.parse_args(argv)
     if args.command == "check":
+        if args.guard is not None and args.guard < 1:
+            p_check.error(f"argument --guard: must be at least 1, got {args.guard}")
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class FinringError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package for bad input or a
+    refused construction."""
+
+
+class InvariantViolated(Exception):
+    """A mathematical invariant the code relies on does not hold: a fault in
+    the program, not in its input. It is not a FinringError, so it never
+    reads as an unmet hypothesis; `evaluate` reports it as a failed check."""
 
 
 class MalformedTable(FinringError):

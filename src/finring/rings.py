@@ -16,6 +16,7 @@ docstring.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -26,6 +27,7 @@ from . import config
 from .errors import (
     AmbientMismatch,
     InvalidParameter,
+    InvariantViolated,
     MalformedTable,
     MissingIdentity,
     SizeGuardExceeded,
@@ -524,11 +526,9 @@ def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> Fin
 
 
 def _monomials(num_vars: int, max_deg: int) -> list[tuple[int, ...]]:
-    monos = [
-        e
-        for e in itertools.product(range(max_deg + 1), repeat=num_vars)
-        if sum(e) <= max_deg
-    ]
+    monos: list[tuple[int, ...]] = [()]
+    for _ in range(num_vars):  # never more than the final count of exponents
+        monos = [e + (k,) for e in monos for k in range(max_deg + 1 - sum(e))]
     monos.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     return monos
 
@@ -551,13 +551,15 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
     significant), which makes the ordering reproducible."""
     if num_vars < 1 or max_deg < 0:
         raise InvalidParameter("trunc_poly needs num_vars >= 1 and max_deg >= 0")
-    monos = _monomials(num_vars, max_deg)
-    m = len(monos)
-    order = base.order**m
-    if order > config.size_guard():
+    # the monomial count is refused too: over a ring of order 1 the order
+    # alone never exceeds the guard
+    m = math.comb(num_vars + max_deg, num_vars)
+    guard = config.size_guard()
+    if m > guard or base.order**m > guard:
         raise SizeGuardExceeded(
-            f"trunc_poly order {base.order}^{m} exceeds size guard {config.size_guard()}"
-        )
+            f"trunc_poly order {base.order}^{m} exceeds size guard {guard}")
+    monos = _monomials(num_vars, max_deg)
+    order = base.order**m
     dims = (base.order,) * m
     digits = np.unravel_index(np.arange(order), dims)
     slot = {e: t for t, e in enumerate(monos)}
@@ -665,7 +667,8 @@ def galois_field(q: int) -> FiniteRng:
         if _is_irreducible(cand, p):
             irr = cand
             break
-    assert irr is not None
+    if irr is None:
+        raise InvariantViolated(f"no monic irreducible of degree {k} over F_{p}")
     # reduction of w^d for d up to 2k-2, little-endian over F_p
     red = np.zeros((2 * k - 1, k), dtype=np.int64)
     for d in range(k):

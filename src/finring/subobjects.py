@@ -21,6 +21,7 @@ from .errors import (
     AmbientMismatch,
     EmptySet,
     InvalidParameter,
+    InvariantViolated,
     NotMultiplicativelyClosed,
     SizeGuardExceeded,
 )
@@ -397,7 +398,8 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
     den = ring.mul[rs[:, None], rs[None, :]]
     add = lookup[num, den]
     mul = lookup[ring.mul[ra[:, None], ra[None, :]], den]
-    assert (add >= 0).all() and (mul >= 0).all()
+    if (add < 0).any() or (mul < 0).any():
+        raise InvariantViolated("a sum or product of fractions has no class")
     zero = int(lookup[ring.zero, one])
     one_cls = int(lookup[one, one])
     labels = [f"{ring.labels[a]}/{ring.labels[s]}" for a, s in rep_pairs]
@@ -407,7 +409,8 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
     )
     lam = RingHom(ring, localized, lookup[np.arange(ring.order), one], unital=True)
     # kernel sanity: a/1 = 0 exactly when some t in S kills a
-    assert np.array_equal(lam.map == zero, killed), "localization kernel mismatch"
+    if not np.array_equal(lam.map == zero, killed):
+        raise InvariantViolated("localization kernel mismatch")
     return localized, lam
 
 
@@ -586,7 +589,8 @@ def module_via_hom(f, J: Ideal) -> FiniteModule:
     pos[idx] = np.arange(idx.size)
     add = pos[B.add[np.ix_(idx, idx)]]
     action = pos[B.mul[f.map[:, None], idx[None, :]]]
-    assert (add >= 0).all() and (action >= 0).all()
+    if (add < 0).any() or (action < 0).any():
+        raise InvariantViolated("the ideal is not closed under + or the action")
     M = FiniteModule(
         ring=f.domain,
         order=int(idx.size),

@@ -9,12 +9,16 @@ the unit test oracles.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import finring
 from finring.dsl_cli import evaluate, generate_catalog, parse
 from finring.reports import (
     FAIL,
@@ -271,3 +275,22 @@ def test_catalog_matches_golden_json():
             pytest.fail(f"report {k} ({w['check']}({w['instance']})) differs "
                         f"from the golden file:\n  got  {g}\n  want {w}")
     pytest.fail(f"report count differs: got {len(got)}, want {len(want)}")
+
+
+def test_catalog_under_python_dash_OO_matches_golden_json():
+    """-OO drops every assert and docstring: no invariant rests on an
+    assert, and the check registry, read from docstrings, still runs."""
+    code = (
+        "import sys\n"
+        "from finring.dsl_cli import REGISTRY, evaluate, generate_catalog, parse\n"
+        "from finring.reports import reports_to_json, strip_timing\n"
+        "if sys.flags.optimize != 2 or REGISTRY['cardinality'].statement:\n"
+        "    sys.exit('docstrings are present')\n"
+        f"script = parse(generate_catalog({SEED}, {BUDGET}))\n"
+        "sys.stdout.write(strip_timing(reports_to_json(evaluate(script))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-OO", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN.read_text()

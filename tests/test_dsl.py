@@ -321,3 +321,42 @@ def test_explain_output_matches_golden_text(capsys):
         assert main(["explain", name]) == 0
     golden = Path(__file__).parent / "golden" / "explain.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("guard", ["0", "-3"])
+def test_cli_guard_below_one_is_a_usage_error(tmp_path, capsys, guard):
+    script = tmp_path / "s.fr"
+    script.write_text("check cardinality(dup(zmod(2), gen(zmod(2); 1)));\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(script), "--guard", guard])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"finring check: error: argument --guard: must be at least 1, got {guard}")
+
+
+def test_digits_that_are_not_decimal_are_syntax_errors(tmp_path, capsys):
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse("ring A = zmod(\u00b2);")
+    assert (err.value.line, err.value.col) == (1, 15)
+    assert "unexpected character" in str(err.value)
+    script = tmp_path / "s.fr"
+    script.write_text("ring A = zmod(4);\nring B = zmod(1\u00b2);\n", encoding="utf-8")
+    assert main(["check", str(script)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2, col 16: unexpected character '\u00b2'\n")
+    # decimal digits of other scripts still read as numbers
+    assert parse("ring A = zmod(\u0664);").definitions[0].expr.render() == "zmod(4)"
+
+
+def test_violated_invariant_fails_its_check(monkeypatch):
+    from finring import constructions
+
+    monkeypatch.setattr(constructions, "ideal_mask_witness", lambda ring, mask: (0, 0))
+    script = parse("check nagata_as_amalgam(id(zmod(2)), gen(zmod(2); 1));\n"
+                   "check cardinality(dup(zmod(2), gen(zmod(2); 1)));")
+    first, second = evaluate(script)
+    assert first.status == FAIL
+    assert first.counterexample == "embedded module is not an ideal"
+    assert second.status == PASS

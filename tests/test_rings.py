@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import finring
 
 from finring.config import guard_limit
 from finring.errors import InvalidParameter, MalformedTable, SizeGuardExceeded
@@ -130,3 +137,30 @@ def test_element_wrapper_arithmetic():
     assert (two * three).label == "0"
     with pytest.raises(InvalidParameter):
         r.index_of("6")
+
+
+def test_trunc_poly_refuses_before_listing_monomials():
+    # In a child with a timeout, so that listing the (max_deg+1)^num_vars
+    # exponent tuples first would fail the test instead of hanging it. Over
+    # zmod(1) the order is 1, so only the monomial count can exceed the guard.
+    code = (
+        "from finring import trunc_poly, zmod\n"
+        "from finring.errors import SizeGuardExceeded\n"
+        "for n in (2, 1):\n"
+        "    try:\n"
+        "        trunc_poly(zmod(n), 12, 12)\n"
+        "    except SizeGuardExceeded as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "trunc_poly order 2^2704156 exceeds size guard 4096",
+        "trunc_poly order 1^2704156 exceeds size guard 4096",
+    ]
+    with guard_limit(8):
+        with pytest.raises(SizeGuardExceeded, match=r"order 2\^4 exceeds"):
+            trunc_poly(zmod(2), 3, 1)
+        assert trunc_poly(zmod(2), 2, 1).order == 8
