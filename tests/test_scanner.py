@@ -26,12 +26,8 @@ def _outcome(scan, text):
         return (str(err), err.line, err.col)
 
 
-def _tuples(text):
-    return [(t.type, t.value, t.line, t.col) for t in tokenize(text)]
-
-
 def assert_agrees(text: str) -> None:
-    new, old = _outcome(_tuples, text), _outcome(oracles.tokenize, text)
+    new, old = _outcome(tokenize, text), _outcome(oracles.tokenize, text)
     if new == old:
         return
     assert isinstance(new, tuple) and "unexpected character '²'" in new[0], \
