@@ -40,7 +40,11 @@ from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .rings import (
     FiniteRng,
     _blocks,
+    _code,
+    _digits,
+    _positions,
     characteristic,
+    closed_subset,
     direct_product,
     is_domain,
     is_reduced,
@@ -260,9 +264,7 @@ class Amalgam:
         """A dotted-plus J, with A acting on J through f: a.j = f(a)j."""
         B, J = self.target, self.ideal
         jrng, _ = ideal_as_rng(J)
-        pos_j = np.full(B.order, -1, dtype=np.int64)
-        pos_j[J.indices] = np.arange(J.size)
-        action = pos_j[B.mul[self.hom.map[:, None], J.indices[None, :]]]
+        action = np.searchsorted(J.indices, B.mul[self.hom.map[:, None], J.indices])
         return dotted_sum(self.base, jrng, action)
 
     @cached_property
@@ -378,9 +380,7 @@ def image_plus_ideal_check(f: RingHom, J: Ideal,
     rep.add("contains_image", bool(bd.members[image(f).indices].all()))
     rep.add("contains_ideal", bool(bd.members[J.indices].all()))
     small, embed_small = subrng_as_ring(bd, name="image_plus_ideal")
-    pos = np.full(f.codomain.order, -1, dtype=np.int64)
-    pos[embed_small.map] = np.arange(small.order)
-    f_small = RingHom(f.domain, small, pos[f.map], unital=True,
+    f_small = RingHom(f.domain, small, np.searchsorted(embed_small.map, f.map), unital=True,
                       name=f"{f.name}|diamond")
     J_small = Ideal(small, J.members[embed_small.map])
     enc_small = amalgam_pair_encoding(f_small, J_small)
@@ -439,7 +439,7 @@ def _diagonal_power(f: RingHom, n: int) -> tuple[RingHom, FiniteRng, tuple[int, 
         )
     power = direct_product([B] * n, name=f"{B.name}^{n}")
     dims = (B.order,) * n
-    diag = np.ravel_multi_index(tuple(f.map for _ in range(n)), dims)
+    diag = _code([f.map] * n, dims)
     return RingHom(f.domain, power, diag, unital=True, name=f"diag^{n}({f.name})"), power, dims
 
 
@@ -454,7 +454,7 @@ def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> Amalgam:
             f"{config.size_guard()}"
         )
     diag, power, dims = _diagonal_power(f, n)
-    digits = np.unravel_index(np.arange(power.order), dims)
+    digits = _digits(np.arange(power.order), dims)
     mask = np.ones(power.order, dtype=bool)
     for k in range(n):
         mask &= J.members[digits[k]]
@@ -483,7 +483,7 @@ def iter_iso_check(f: RingHom, J: Ideal, n: int,
     small = n_amalgam(f, J, n - 1)
     B = f.codomain
     dims_small = (B.order,) * (n - 1)
-    digits_small = np.unravel_index(small.pairs[:, 1], dims_small)
+    digits_small = _digits(small.pairs[:, 1], dims_small)
     tail_mask = small.pairs[:, 0] == small.base.zero
     for k in range(n - 2):
         tail_mask &= digits_small[k] == B.zero
@@ -497,23 +497,17 @@ def iter_iso_check(f: RingHom, J: Ideal, n: int,
     rep.add("expected_order", expected)
 
     dims_big = (B.order,) * n
-    digits_big = np.unravel_index(big.pairs[:, 1], dims_big)
+    digits_big = _digits(big.pairs[:, 1], dims_big)
     head = digits_big[:-1]
-    swapped = digits_big[:-2] + (digits_big[-1],)
+    swapped = digits_big[:-2] + [digits_big[-1]]
     enc_small = small.pairs[:, 0] * small.target.order + small.pairs[:, 1]
-    first_enc = big.pairs[:, 0] * small.target.order \
-        + np.ravel_multi_index(head, dims_small)
-    second_enc = big.pairs[:, 0] * small.target.order \
-        + np.ravel_multi_index(swapped, dims_small)
-    d1 = np.searchsorted(enc_small, first_enc)
-    d2 = np.searchsorted(enc_small, second_enc)
-    ok_members = np.array_equal(enc_small[d1], first_enc) \
-        and np.array_equal(enc_small[d2], second_enc)
+    first_enc = big.pairs[:, 0] * small.target.order + _code(head, dims_small)
+    second_enc = big.pairs[:, 0] * small.target.order + _code(swapped, dims_small)
+    d1 = _positions(enc_small, first_enc)
+    d2 = _positions(enc_small, second_enc)
     enc_dup = dup.pairs[:, 0] * dup.target.order + dup.pairs[:, 1]
-    target_enc = d1 * dup.target.order + d2
-    pos = np.searchsorted(enc_dup, target_enc)
-    ok_members = ok_members and np.array_equal(enc_dup[pos], target_enc)
-    if not ok_members:
+    pos = _positions(enc_dup, d1 * dup.target.order + d2)
+    if min(d1.min(), d2.min(), pos.min()) < 0:
         rep.status = FAIL
         rep.counterexample = "witness map leaves the duplication's element set"
         return rep
@@ -547,6 +541,20 @@ class PullbackData:
     proj_right: RingHom
 
 
+def _join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (m, 2) array of pairs (a, b) with left[a] == right[b], in
+    lexicographic order: a sort-merge join on one stable argsort of right,
+    so each run of equal keys lists its b in increasing order."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    lo = np.searchsorted(keys, left, side="left")
+    counts = np.searchsorted(keys, left, side="right") - lo
+    a = np.repeat(np.arange(left.size, dtype=np.int64), counts)
+    # pair t of row a lies (t - first pair of a) past lo[a] in the run
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return np.stack([a, order[np.arange(a.size) + shift]], axis=1)
+
+
 def pullback(alpha: RingHom, beta: RingHom, name: str | None = None) -> PullbackData:
     """The pairs are exactly the solutions of alpha(a) = beta(b), so the
     square commutes by construction. The solutions of an equation between
@@ -558,9 +566,8 @@ def pullback(alpha: RingHom, beta: RingHom, name: str | None = None) -> Pullback
         raise AmbientMismatch("pullback requires a common codomain")
     if not (alpha.unital and beta.unital):
         raise InvalidParameter("pullback requires unital homs")
-    pairs = np.argwhere(alpha.map[:, None] == beta.map[None, :]).astype(np.int64)
     ring, arr = pair_subring(
-        alpha.domain, beta.domain, pairs, "pullback",
+        alpha.domain, beta.domain, _join(alpha.map, beta.map), "pullback",
         name or f"pullback({alpha.name},{beta.name})",
     )
     proj_left = RingHom(ring, alpha.domain, arr[:, 0], unital=True, name="proj_left",
@@ -612,46 +619,38 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
     A, B = am.base, am.target
     f_res, pi = residue_presentation(am)
     BJ = pi.codomain
-    enc_am = am.pairs[:, 0] * B.order + am.pairs[:, 1]
-
-    over1 = direct_product([A, BJ], name="A x B/J")
-    u = RingHom(A, over1, np.arange(A.order, dtype=np.int64) * BJ.order + f_res.map,
-                unital=True, name="u")
-    AB = direct_product([A, B], name="A x B")
-    a_of = np.arange(AB.order, dtype=np.int64) // B.order
-    b_of = np.arange(AB.order, dtype=np.int64) % B.order
-    v = RingHom(AB, over1, a_of * BJ.order + pi.map[b_of], unital=True, name="v")
-    pb1 = pullback(u, v)
-    match1 = pb1.pairs[:, 0] == a_of[pb1.pairs[:, 1]]
-    enc1 = pb1.pairs[:, 0] * B.order + b_of[pb1.pairs[:, 1]]
-    pos1 = np.searchsorted(enc_am, enc1)
-    ok1 = bool(match1.all()) and np.array_equal(enc_am[pos1], enc1)
-    if ok1:
-        w1 = RingHom(pb1.ring, am.ring, pos1, unital=True, name="collapse_u_v",
-                     check=False)
-        ok1 = verify_iso(w1)
-    rep.add("presentation_over_A_x_BJ", ok1)
-
     Ipre = Ideal(A, am.ideal.members[am.hom.map])
     AI, rho = quotient_ring(A, Ipre)
-    over2 = direct_product([AI, BJ], name="A/I x B/J")
     _, rep_idx = np.unique(rho.map, return_index=True)
-    ubreve = RingHom(AI, over2,
-                     np.arange(AI.order, dtype=np.int64) * BJ.order
-                     + f_res.map[rep_idx],
-                     unital=True, name="u_induced")
-    vbreve = RingHom(AB, over2, rho.map[a_of] * BJ.order + pi.map[b_of],
-                     unital=True, name="v_induced")
-    pb2 = pullback(ubreve, vbreve)
-    match2 = pb2.pairs[:, 0] == rho.map[a_of[pb2.pairs[:, 1]]]
-    enc2 = a_of[pb2.pairs[:, 1]] * B.order + b_of[pb2.pairs[:, 1]]
-    pos2 = np.searchsorted(enc_am, enc2)
-    ok2 = bool(match2.all()) and np.array_equal(enc_am[pos2], enc2) \
-        and pb2.ring.order == am.ring.order
-    if ok2:
-        w2 = RingHom(pb2.ring, am.ring, pos2, unital=True, name="collapse_induced",
-                     check=False)
-        ok2 = verify_iso(w2)
+    enc_am = am.pairs[:, 0] * B.order + am.pairs[:, 1]
+
+    def collapses(left: FiniteRng, u: np.ndarray, v: np.ndarray,
+                  to_left: np.ndarray, name: str) -> bool:
+        # u on `left` and v on A x B as codes over left x B/J; the fiber
+        # product's (l, (a, b)) is code (l*|A| + a)*|B| + b over the flat
+        # factors (left, A, B), so no product ring is built
+        pairs = _join(u, v)
+        ring = closed_subset([left, A, B], pairs[:, 0] * v.size + pairs[:, 1],
+                             "pullback", name)
+        pos = _positions(enc_am, pairs[:, 1])
+        if not (np.array_equal(pairs[:, 0], to_left[pairs[:, 1] // B.order])
+                and (pos >= 0).all() and ring.order == am.ring.order):
+            return False
+        return verify_iso(RingHom(ring, am.ring, pos, unital=True,
+                                  name=f"collapse {name}", check=False))
+
+    # u: a -> (a, f(a)+J), v: (a, b) -> (a, b+J), and the maps they induce
+    # over A/I x B/J (well defined, as f(I) lies in J) are products of homs
+    # coordinate by coordinate, so homs, and each fiber product is a closed
+    # subset of the flat product
+    a_codes = np.arange(A.order, dtype=np.int64)
+    ok1 = collapses(A, a_codes * BJ.order + f_res.map,
+                    (a_codes[:, None] * BJ.order + pi.map).ravel(), a_codes, "over A x B/J")
+    rep.add("presentation_over_A_x_BJ", ok1)
+    c_codes = np.arange(AI.order, dtype=np.int64)
+    ok2 = collapses(AI, c_codes * BJ.order + f_res.map[rep_idx],
+                    (rho.map[:, None] * BJ.order + pi.map).ravel(), rho.map,
+                    "over A/I x B/J")
     rep.add("presentation_over_AI_x_BJ", ok2)
     rep.add("order", am.ring.order)
     if not (ok1 and ok2):

@@ -34,7 +34,7 @@ from .morphisms import (
     verify_iso,
 )
 from .reports import FAIL, PASS, THEOREM_BACKED, VerificationReport
-from .rings import FiniteRng, _monomials, is_field, trunc_poly
+from .rings import FiniteRng, _digits, _monomials, is_field, trunc_poly
 from .subobjects import (
     FiniteModule,
     Ideal,
@@ -182,11 +182,9 @@ def d_plus_m(T: FiniteRng, D: Subrng, Ms: list[Ideal],
     D_ring, iota = subrng_as_ring(D, name="coefficient_subring")
     am = amalgam(iota, J)
     rep.add("amalgam_order", am.ring.order)
-    sum_mask = np.zeros(T.order, dtype=bool)
-    sum_mask[T.add[D.indices[:, None], J.indices[None, :]].ravel()] = True
-    result = Subrng(T, sum_mask)
+    result = image_plus_ideal(iota, J)  # D + J, as iota(D_ring) = D
     rep.add("sum_order", result.size)
-    set_ok = np.array_equal(image(am.proj_target).members, sum_mask)
+    set_ok = np.array_equal(image(am.proj_target).members, result.members)
     rep.add("projection_image_equals_sum", set_ok)
     inj_ok = am.proj_target.is_injective
     rep.add("projection_injective", inj_ok)
@@ -210,6 +208,29 @@ def _unit_inverses(ring: FiniteRng) -> np.ndarray:
     inv = np.argmax(hits, axis=1).astype(np.int64)
     inv[~hits.any(axis=1)] = -1
     return inv
+
+
+def _preimage_ring(rep: VerificationReport, lam: RingHom, E: Ideal, I: Ideal,
+                   C_mask: np.ndarray, contraction: str) -> tuple[FiniteRng, bool]:
+    """The part `cpi_prime` and `cpi_ideal` share: the preimage C_mask is
+    lam(A) + E, E contracts to I, and the amalgam of lam along E modulo the
+    kernel of its second projection is C, by an explicit witness. Returns
+    C and whether every step held."""
+    set_ok = np.array_equal(C_mask, image_plus_ideal(lam, E).members)
+    rep.add("preimage_equals_image_plus_extension", set_ok)
+    am = amalgam(lam, E)
+    rep.add("amalgam_order", am.ring.order)
+    rep.add("kernel_order", kernel(am.proj_target).size)
+    pre_ok = np.array_equal(E.members[lam.map], I.members)
+    rep.add(contraction, pre_ok)
+    collapse, _ = corestrict(am.proj_target, name=f"cpi({lam.domain.name})")
+    fi = first_iso_witness(collapse)
+    valid = fi.valid
+    rep.add("quotient_order", fi.quotient.order)
+    rep.add("iso_witness_valid", valid)
+    mask_ok = np.array_equal(image(am.proj_target).members, C_mask)
+    rep.add("result_set_matches_preimage", mask_ok)
+    return collapse.codomain, set_ok and pre_ok and valid and mask_ok
 
 
 def cpi_prime(A: FiniteRng, P: Ideal,
@@ -239,28 +260,9 @@ def cpi_prime(A: FiniteRng, P: Ideal,
     kP, psi = quotient_ring(loc, PE)
     field_ok = is_field(kP)
     rep.add("residue_ring_is_field", field_ok)
-    chi = compose(psi, lam)
-    C_mask = image(chi).members[psi.map]
-    lam_img = image(lam)
-    sum_mask = np.zeros(loc.order, dtype=bool)
-    sum_mask[loc.add[lam_img.indices[:, None], PE.indices[None, :]].ravel()] = True
-    set_ok = np.array_equal(C_mask, sum_mask)
-    rep.add("preimage_equals_image_plus_extension", set_ok)
-    am = amalgam(lam, PE)
-    rep.add("amalgam_order", am.ring.order)
-    K = kernel(am.proj_target)
-    rep.add("kernel_order", K.size)
-    pre_ok = np.array_equal(PE.members[lam.map], P.members)
-    rep.add("contraction_is_P", pre_ok)
-    collapse, _ = corestrict(am.proj_target, name=f"cpi({A.name})")
-    fi = first_iso_witness(collapse)
-    valid = fi.valid
-    rep.add("quotient_order", fi.quotient.order)
-    rep.add("iso_witness_valid", valid)
-    C_ring = collapse.codomain
-    mask_ok = np.array_equal(image(am.proj_target).members, C_mask)
-    rep.add("result_set_matches_preimage", mask_ok)
-    if not (local_ok and field_ok and set_ok and pre_ok and valid and mask_ok):
+    C_mask = image(compose(psi, lam)).members[psi.map]
+    C_ring, ok = _preimage_ring(rep, lam, PE, P, C_mask, "contraction_is_P")
+    if not (local_ok and field_ok and ok):
         rep.status = FAIL
         rep.counterexample = "a preimage-ring identification failed"
     return C_ring, rep
@@ -308,26 +310,9 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
         rep.counterexample = "fraction reduction map is not well defined"
         return loc, rep
     phi = RingHom(loc, tot, phi_map, unital=True, name="fraction_reduction")
-    C_mask = image(lamQ).members[phi.map]
-    lam_img = image(lam)
-    sum_mask = np.zeros(loc.order, dtype=bool)
-    sum_mask[loc.add[lam_img.indices[:, None], J.indices[None, :]].ravel()] = True
-    set_ok = np.array_equal(C_mask, sum_mask)
-    rep.add("preimage_equals_image_plus_extension", set_ok)
-    am = amalgam(lam, J)
-    rep.add("amalgam_order", am.ring.order)
-    rep.add("kernel_order", kernel(am.proj_target).size)
-    pre_ok = np.array_equal(J.members[lam.map], I.members)
-    rep.add("contraction_is_I", pre_ok)
-    collapse, _ = corestrict(am.proj_target, name=f"cpi({A.name})")
-    fi = first_iso_witness(collapse)
-    valid = fi.valid
-    rep.add("quotient_order", fi.quotient.order)
-    rep.add("iso_witness_valid", valid)
-    C_ring = collapse.codomain
-    mask_ok = np.array_equal(image(am.proj_target).members, C_mask)
-    rep.add("result_set_matches_preimage", mask_ok)
-    if not (set_ok and pre_ok and valid and mask_ok):
+    C_ring, ok = _preimage_ring(rep, lam, J, I, image(lamQ).members[phi.map],
+                                "contraction_is_I")
+    if not ok:
         rep.status = FAIL
         rep.counterexample = "a preimage-ring identification failed"
     return C_ring, rep
@@ -354,7 +339,7 @@ def trunc_poly_amalgam(A: Subrng, B: FiniteRng, J: Ideal, num_vars: int,
     monos = _monomials(num_vars, max_deg)
     m = len(monos)
     dims = (B.order,) * m
-    digits = np.unravel_index(np.arange(P.order), dims)
+    digits = _digits(np.arange(P.order), dims)
     member_mask = A.members[digits[0]]
     jmask = digits[0] == B.zero
     for t in range(1, m):

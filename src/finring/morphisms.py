@@ -195,9 +195,7 @@ def corestrict(f: RingHom, name: str | None = None) -> tuple[RingHom, RingHom]:
 
     img = image(f)
     small, embed = subrng_as_ring(img, name)
-    pos = np.full(f.codomain.order, -1, dtype=np.int64)
-    pos[embed.map] = np.arange(small.order)
-    g = RingHom(f.domain, small, pos[f.map], unital=f.unital,
+    g = RingHom(f.domain, small, np.searchsorted(embed.map, f.map), unital=f.unital,
                 name=f"{f.name}|image", check=False)
     return g, embed
 

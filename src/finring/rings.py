@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -490,39 +490,16 @@ def zmod(n: int) -> FiniteRng:
 def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> FiniteRng:
     """Componentwise product. Element order is lexicographic in the factor
     indices with the first factor most significant; labels are "(a,b,...)".
-
-    Not validated again: every axiom is an identity between the operations,
-    and the operations act coordinate by coordinate, so each one holds in
-    the product because it holds in every factor."""
+    It is the `closed_subset` that holds every code."""
     factors = list(factors)
     if not factors:
         raise InvalidParameter("direct_product needs at least one factor")
-    dims = tuple(f.order for f in factors)
-    order = 1
-    for d in dims:
-        order *= d
-        if order > config.size_guard():
-            raise SizeGuardExceeded(f"product order exceeds size guard {config.size_guard()}")
-    digits = np.unravel_index(np.arange(order), dims)
-    add = np.empty((order, order), dtype=_TABLE_DTYPE)
-    mul = np.empty((order, order), dtype=_TABLE_DTYPE)
-    for i0, i1 in _blocks(order):
-        add_parts = [f.add[digits[k][i0:i1, None], digits[k][None, :]] for k, f in enumerate(factors)]
-        mul_parts = [f.mul[digits[k][i0:i1, None], digits[k][None, :]] for k, f in enumerate(factors)]
-        add[i0:i1] = np.ravel_multi_index(tuple(add_parts), dims)
-        mul[i0:i1] = np.ravel_multi_index(tuple(mul_parts), dims)
-    zero = int(np.ravel_multi_index(tuple(f.zero for f in factors), dims))
-    one = None
-    if all(f.has_one for f in factors):
-        one = int(np.ravel_multi_index(tuple(f.one for f in factors), dims))
-    labels = [
-        "(" + ",".join(parts) + ")"
-        for parts in itertools.product(*[f.labels for f in factors])
-    ]
+    order = math.prod(f.order for f in factors)
+    if order > config.size_guard():
+        raise SizeGuardExceeded(f"product order exceeds size guard {config.size_guard()}")
     if name is None:
         name = "product(" + ",".join(f.name for f in factors) + ")"
-    return FiniteRng(add, mul, zero, one, labels, provenance="product", name=name,
-                     check=False)
+    return closed_subset(factors, np.arange(order), "product", name)
 
 
 def _monomials(num_vars: int, max_deg: int) -> list[tuple[int, ...]]:
@@ -558,10 +535,16 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
     if m > guard or base.order**m > guard:
         raise SizeGuardExceeded(
             f"trunc_poly order {base.order}^{m} exceeds size guard {guard}")
+    name = f"pol({base.name},{num_vars},{max_deg})"
+    if base.order == 1:
+        # every coefficient is zero: the zero ring, without the m x m
+        # monomial products
+        return FiniteRng([[0]], [[0]], 0, base.one, base.labels, provenance="trunc_poly",
+                         name=name)
     monos = _monomials(num_vars, max_deg)
     order = base.order**m
     dims = (base.order,) * m
-    digits = np.unravel_index(np.arange(order), dims)
+    digits = _digits(np.arange(order), dims)
     slot = {e: t for t, e in enumerate(monos)}
     prod_slot: list[list[int | None]] = [
         [
@@ -575,8 +558,7 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
     add = np.empty((order, order), dtype=_TABLE_DTYPE)
     mul = np.empty((order, order), dtype=_TABLE_DTYPE)
     for i0, i1 in _blocks(order):
-        parts = [base.add[digits[t][i0:i1, None], digits[t][None, :]] for t in range(m)]
-        add[i0:i1] = np.ravel_multi_index(tuple(parts), dims)
+        add[i0:i1] = _code((base.add[d[i0:i1, None], d] for d in digits), dims, _TABLE_DTYPE)
         res = [np.full((i1 - i0, order), base.zero, dtype=_TABLE_DTYPE) for _ in range(m)]
         for s in range(m):
             for t in range(m):
@@ -585,13 +567,11 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
                     continue
                 term = base.mul[digits[s][i0:i1, None], digits[t][None, :]]
                 res[p] = base.add[res[p], term]
-        mul[i0:i1] = np.ravel_multi_index(tuple(res), dims)
-    zero = int(np.ravel_multi_index((base.zero,) * m, dims))
+        mul[i0:i1] = _code(res, dims, _TABLE_DTYPE)
+    zero = int(_code([base.zero] * m, dims))
     one = None
     if base.has_one:
-        one_digits = [base.zero] * m
-        one_digits[0] = base.one
-        one = int(np.ravel_multi_index(tuple(one_digits), dims))
+        one = int(_code([base.one] + [base.zero] * (m - 1), dims))
     labels = []
     col = np.stack(digits, axis=1)
     for i in range(order):
@@ -611,11 +591,7 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
                     coeff = f"({coeff})"
                 terms.append(coeff + mono)
         labels.append("+".join(terms) if terms else base.labels[base.zero])
-    return FiniteRng(
-        add, mul, zero, one, labels,
-        provenance="trunc_poly",
-        name=f"pol({base.name},{num_vars},{max_deg})",
-    )
+    return FiniteRng(add, mul, zero, one, labels, provenance="trunc_poly", name=name)
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -770,6 +746,99 @@ def is_field(ring: FiniteRng) -> bool:
 # -- internal construction helpers (shared by subobjects and amalgamation) ------
 
 
+def _digits(codes, dims: Sequence[int]) -> list[np.ndarray]:
+    """Mixed-radix digits of `codes` over `dims`, first digit most
+    significant: one divmod per factor, so any number of factors works
+    (np.unravel_index stops at 64)."""
+    rest = np.asarray(codes, dtype=np.int64)
+    digits = []
+    for dim in reversed(dims):
+        rest, digit = np.divmod(rest, dim)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def _code(digits, dims: Sequence[int], dtype=np.int64):
+    """The mixed-radix code of `digits` over `dims`, inverse of `_digits`;
+    `digits` may be a generator, so one digit array is in flight at a time.
+    `dtype` must hold the product of `dims`."""
+    code = np.zeros((), dtype=dtype)
+    for digit, dim in zip(digits, dims):
+        code = code * dim + digit
+    return code
+
+
+def _positions(members: np.ndarray, codes):
+    """The index of each of `codes` in the strictly increasing `members`,
+    -1 where it is missing."""
+    p = np.minimum(np.searchsorted(members, codes), members.size - 1)
+    return np.where(members[p] == codes, p, -1)
+
+
+def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subring",
+                  name: str | None = None, labels: Sequence[str] | None = None) -> FiniteRng:
+    """The elements of the product of `factors` with the given mixed-radix
+    codes (first factor most significant, as in `direct_product`), as a
+    standalone rng in code order. `codes` must be strictly increasing.
+    Labels are "(a,b,...)" unless given. The identity is the product's when
+    the subset holds it, and otherwise any element that acts as one (an
+    ideal can be unital on its own).
+
+    Not validated again. The product is a valid rng: every axiom is an
+    identity between the operations, which act coordinate by coordinate, so
+    it holds because it holds in every factor. The subset is checked here
+    to hold 0 and to be closed under + and *; a closed subset of a valid rng
+    meets every axiom that quantifies over all elements, and a finite subset
+    closed under + is a subgroup (x, 2x, 3x, ... returns to 0), so it holds
+    the negatives too."""
+    factors = list(factors)
+    dims = [f.order for f in factors]
+    size = math.prod(dims)
+    codes = np.asarray(codes, dtype=np.int64)
+    m = codes.size
+    if m == 0:
+        raise InvalidParameter("subset must be nonempty")
+    if size >= 1 << 63 or codes[0] < 0 or codes[-1] >= size or (codes[1:] <= codes[:-1]).any():
+        raise InvalidParameter("subset codes must increase strictly inside the product")
+    if m > config.size_guard():
+        raise SizeGuardExceeded(f"order {m} exceeds size guard {config.size_guard()}")
+    # positions of product codes, -1 outside the subset: a dense array while
+    # it is no larger than one table, a binary search otherwise
+    if size <= m * m:
+        dense = np.full(size, -1, dtype=_TABLE_DTYPE)
+        dense[codes] = np.arange(m, dtype=_TABLE_DTYPE)
+        position = dense.__getitem__
+    else:
+        position = partial(_positions, codes)
+    zero = int(position(_code([f.zero for f in factors], dims)))
+    if zero < 0:
+        raise InvalidParameter("subset must contain zero")
+    # codes stay below size, so int32 arithmetic is exact up to 2^31
+    dtype = np.int32 if size < 1 << 31 else np.int64
+    digits = _digits(codes, dims)
+    add = np.empty((m, m), dtype=_TABLE_DTYPE)
+    mul = np.empty((m, m), dtype=_TABLE_DTYPE)
+    for table, op, word in ((add, "add", "addition"), (mul, "mul", "multiplication")):
+        for i0, i1 in _blocks(m):
+            cells = (getattr(f, op)[d[i0:i1, None], d] for f, d in zip(factors, digits))
+            block = position(_code(cells, dims, dtype))
+            if (block < 0).any():
+                raise InvalidParameter(f"subset is not closed under {word}")
+            table[i0:i1] = block
+    has_one = all(f.has_one for f in factors)
+    one = int(position(_code([f.one for f in factors], dims))) if has_one else -1
+    if labels is None:
+        labels = [
+            "(" + ",".join(f.labels[i] for f, i in zip(factors, row)) + ")"
+            for row in zip(*(d.tolist() for d in digits))
+        ]
+    return FiniteRng(
+        add, mul, zero, one if one >= 0 else _detect_one(add, mul), labels,
+        provenance=provenance, check=False,
+        name=name or "sub(" + ",".join(f.name for f in factors) + f",{m})",
+    )
+
+
 def restrict_to_subset(
     ring: FiniteRng,
     indices: np.ndarray,
@@ -777,33 +846,9 @@ def restrict_to_subset(
     name: str,
 ) -> FiniteRng:
     """The subset, sorted by ambient index, as a standalone rng with inherited
-    labels. The subset must contain zero and be closed under + and *.
-    An identity inside the subset is detected even when it differs from the
-    ambient one (an ideal can be unital on its own).
-
-    Not validated again: zero and closure are checked here, every other
-    axiom but inverses is universally quantified and so holds on any
-    subset of a valid rng, and a finite subset closed under + is a subgroup
-    (x, 2x, 3x, ... returns to 0), so it holds the negatives too."""
-    idx = np.asarray(sorted(int(i) for i in set(map(int, indices))), dtype=np.int64)
-    if idx.size == 0:
-        raise InvalidParameter("subset must be nonempty")
-    pos = np.full(ring.order, -1, dtype=np.int64)
-    pos[idx] = np.arange(idx.size)
-    if pos[ring.zero] < 0:
-        raise InvalidParameter("subset must contain zero")
-    add = pos[ring.add[np.ix_(idx, idx)]]
-    mul = pos[ring.mul[np.ix_(idx, idx)]]
-    if (add < 0).any():
-        raise InvalidParameter("subset is not closed under addition")
-    if (mul < 0).any():
-        raise InvalidParameter("subset is not closed under multiplication")
-    one = _detect_one(add.astype(_TABLE_DTYPE), mul.astype(_TABLE_DTYPE))
-    labels = [ring.labels[i] for i in idx]
-    return FiniteRng(
-        add, mul, int(pos[ring.zero]), one, labels, provenance=provenance, name=name,
-        check=False,
-    )
+    labels: the `closed_subset` of the one factor `ring`."""
+    idx = np.unique(np.asarray(indices, dtype=np.int64))
+    return closed_subset([ring], idx, provenance, name, labels=[ring.labels[i] for i in idx])
 
 
 def pair_subring(
@@ -813,14 +858,10 @@ def pair_subring(
     provenance: str,
     name: str,
 ) -> tuple[FiniteRng, np.ndarray]:
-    """A subring of left x right given by an (m, 2) array of index pairs,
-    without materializing the full product. Pairs are deduplicated and
-    sorted lexicographically; labels are "(a,b)". Returns the ring and the
-    sorted (m, 2) pair array.
-
-    Not validated again, by the argument of `restrict_to_subset`: the pair
-    set is checked to hold (0, 0) and to be closed under + and *, so it is
-    a closed subset of the valid rng left x right."""
+    """The `closed_subset` of left x right given by an (m, 2) array of index
+    pairs, without materializing the full product. Pairs are deduplicated
+    and sorted lexicographically; labels are "(a,b)". Returns the ring and
+    the sorted (m, 2) pair array."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if arr.size == 0:
         raise InvalidParameter("pair set must be nonempty")
@@ -828,34 +869,5 @@ def pair_subring(
         raise InvalidParameter("pair index out of range")
     # a*|right| + b orders pairs lexicographically, so np.unique sorts them
     codes = np.unique(arr[:, 0] * right.order + arr[:, 1])
-    arr = np.stack(np.divmod(codes, right.order), axis=1)
-    m = arr.shape[0]
-    if m > config.size_guard():
-        raise SizeGuardExceeded(f"order {m} exceeds size guard {config.size_guard()}")
-    lookup = np.full((left.order, right.order), -1, dtype=np.int64)
-    lookup[arr[:, 0], arr[:, 1]] = np.arange(m)
-    pa, pb = arr[:, 0], arr[:, 1]
-    add = np.empty((m, m), dtype=_TABLE_DTYPE)
-    mul = np.empty((m, m), dtype=_TABLE_DTYPE)
-    for i0, i1 in _blocks(m):
-        ra = lookup[left.add[pa[i0:i1, None], pa[None, :]], right.add[pb[i0:i1, None], pb[None, :]]]
-        rm = lookup[left.mul[pa[i0:i1, None], pa[None, :]], right.mul[pb[i0:i1, None], pb[None, :]]]
-        if (ra < 0).any():
-            raise InvalidParameter("pair set is not closed under addition")
-        if (rm < 0).any():
-            raise InvalidParameter("pair set is not closed under multiplication")
-        add[i0:i1] = ra
-        mul[i0:i1] = rm
-    zero = int(lookup[left.zero, right.zero])
-    if zero < 0:
-        raise InvalidParameter("pair set must contain (0, 0)")
-    one = None
-    if left.has_one and right.has_one:
-        cand = int(lookup[left.one, right.one])
-        one = cand if cand >= 0 else None
-    if one is None:
-        one = _detect_one(add, mul)
-    labels = [f"({left.labels[a]},{right.labels[b]})" for a, b in arr]
-    ring = FiniteRng(add, mul, zero, one, labels, provenance=provenance, name=name,
-                     check=False)
-    return ring, arr
+    ring = closed_subset([left, right], codes, provenance, name)
+    return ring, np.stack(np.divmod(codes, right.order), axis=1)

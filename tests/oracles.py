@@ -73,6 +73,36 @@ def pullback_pairs(alpha_map, beta_map) -> frozenset[tuple[int, int]]:
     )
 
 
+def closed_subset_naive(factors, members):
+    """The subset `members` (tuples of factor indices) of the product of the
+    rings `factors` as (add, mul, zero, one, element tuples), its elements
+    in lexicographic order and the tables as nested lists of positions;
+    None when the subset misses zero or is not closed under + or *."""
+    adds = [f.add.tolist() for f in factors]
+    muls = [f.mul.tolist() for f in factors]
+    elems = sorted(set(members))
+    pos = {e: i for i, e in enumerate(elems)}
+    zero = tuple(f.zero for f in factors)
+    if zero not in pos:
+        return None
+    tables = []
+    for ops in (adds, muls):
+        table = []
+        for x in elems:
+            row = []
+            for y in elems:
+                z = tuple(op[a][b] for op, a, b in zip(ops, x, y))
+                if z not in pos:
+                    return None
+                row.append(pos[z])
+            table.append(row)
+        tables.append(table)
+    add, mul = tables
+    n = len(elems)
+    ones = [e for e in range(n) if all(mul[e][x] == x for x in range(n))]
+    return add, mul, pos[zero], (ones[0] if ones else None), elems
+
+
 def is_hom(a, b, fmap, unital: bool = True) -> bool:
     """fmap respects both tables of the rings a and b (tables read off the
     ring objects but compared entry by entry)."""

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -326,6 +331,38 @@ def test_alt_pullbacks_validate():
     assert rep.status == PASS
     assert rep.witness("presentation_over_A_x_BJ") == "True"
     assert rep.witness("presentation_over_AI_x_BJ") == "True"
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_alt_pullbacks_pass_where_a_x_b_exceeds_the_guard(n):
+    # |A x B| = n^2 is above the guard; the fiber products are built as
+    # closed subsets of the flat products, never as subsets of A x B
+    r = zmod(n)
+    rep = alt_pullback_checks(duplication(r, ideal_from_generators(r, [n // 2])))
+    assert rep.status == PASS
+    assert rep.witness("presentation_over_A_x_BJ") == "True"
+    assert rep.witness("presentation_over_AI_x_BJ") == "True"
+    assert rep.witness("order") == str(2 * n)
+
+
+def test_alt_pullbacks_at_order_4096_under_a_2_gib_address_space():
+    # a fresh child that caps its own address space, as the guard tests do
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from finring.amalgamation import alt_pullback_checks, duplication; "
+        "from finring.rings import zmod; "
+        "from finring.subobjects import ideal_from_generators; "
+        "r = zmod(2048); "
+        "rep = alt_pullback_checks(duplication(r, ideal_from_generators(r, [1024]))); "
+        "print(rep.status, *(w.value for w in rep.witnesses))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["pass", "True", "True", "4096"]
 
 
 def test_image_plus_ideal_subring():

@@ -139,6 +139,27 @@ def test_element_wrapper_arithmetic():
         r.index_of("6")
 
 
+def test_more_than_64_factors_or_monomials():
+    # np.unravel_index stops at 64 dimensions; the digits here do not
+    ring = direct_product([zmod(1)] * 65)
+    assert (ring.order, ring.zero, ring.one) == (1, 0, 0)
+    assert ring.labels == ("(" + ",".join(["0"] * 65) + ")",)
+    assert trunc_poly(zmod(1), 150, 1).labels == ("0",)
+    # over an order-1 base the zero ring comes before the m x m monomial
+    # products, so 4001 monomials take no time; a child with a timeout turns
+    # a regression into a failure instead of a hang
+    code = (
+        "from finring import trunc_poly, zmod\n"
+        "r = trunc_poly(zmod(1), 4000, 1)\n"
+        "print(r.order, r.one, r.labels[0], r.name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "0", "0", "pol(zmod(1),4000,1)"]
+
+
 def test_trunc_poly_refuses_before_listing_monomials():
     # In a child with a timeout, so that listing the (max_deg+1)^num_vars
     # exponent tuples first would fail the test instead of hanging it. Over
