@@ -33,7 +33,6 @@ from .morphisms import (
     identity_hom,
     image,
     kernel,
-    min_unital_generators,
     verify_iso,
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
@@ -720,8 +719,6 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
     (hom, ideal) presentation."""
     # Both searches charge `budget`; when either cannot finish inside it
     # there is no certificate, and the verdict is hypothesis_not_met.
-    if budget is None:
-        budget = config.DEFAULT_SEARCH_BUDGET
     rep = VerificationReport(
         "retraction_criterion",
         instance or f"{alpha.name} vs {beta.name}", PASS,
@@ -737,7 +734,7 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
     rep.add("assignments_tried", search.tried)
     enc_pb = pb.pairs[:, 0] * beta.domain.order + pb.pairs[:, 1]
     if search.found:
-        section = search.section
+        section = search.hom
         f_new = compose(pb.proj_right, section)
         Jk = kernel(beta)
         rep.add("reconstructed_ideal_order", Jk.size)
@@ -754,13 +751,11 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
         rep.add("note", "section search hit the budget before exhausting the "
                         "space; no certificate either way")
         return rep
-    space = pb.right.order ** len(min_unital_generators(pb.left))
-    if space > budget:
-        rep.status = HYPOTHESIS_NOT_MET
-        rep.add("note", f"enumerating homs needs {space} assignments, over the "
-                        f"budget of {budget}; no certificate either way")
-        return rep
     homs = enumerate_homs(pb.left, pb.right, unital=True, budget=budget)
+    if not homs.exhausted:
+        rep.status = HYPOTHESIS_NOT_MET
+        rep.add("note", f"enumerating homs {homs.reason}; no certificate either way")
+        return rep
     ideals = all_ideals(pb.right)
     presentations = 0
     match = None
@@ -808,7 +803,7 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
         if not search.exhausted:
             rep.add("note", "section search budget exhausted")
         return rep
-    f_new = compose(pb.proj_right, search.section)
+    f_new = compose(pb.proj_right, search.hom)
     J_new = kernel(pb.beta)
     ideal_match = J_new == am.ideal
     rep.add("recovered_ideal_equals_J", ideal_match)

@@ -1,9 +1,12 @@
-"""Global size limits.
+"""Global size and search limits.
 
 Every constructor that materializes a Cayley table checks the element count
-against the active guard, and every exhaustive search charges its step budget
-against SEARCH_BUDGET. Both are module-level so a CLI flag can override them
-for a whole run; the library itself never mutates them.
+against the active size guard. `set_size_guard` replaces the guard for the
+process, and `guard_limit` replaces it for the length of a `with` block;
+`finring check --guard N` evaluates its script under `guard_limit(N)`.
+The two budgets are constants: DEFAULT_SEARCH_BUDGET bounds the completions
+of a hom search whose caller passes no budget, and DEFAULT_SUBSET_BUDGET
+bounds the seed subsets `min_generating_set` tries before it turns greedy.
 """
 
 from __future__ import annotations

@@ -775,7 +775,6 @@ def generate_catalog(seed: int, budget: int) -> str:
 
     lines.append("# iterated amalgams")
     iter_rings = [(f"R{n}") for n in (2, 3, 4, 5, 6) if f"R{n}" in by_name]
-    emitted = 0
     for n_fold in (2, 3):
         count = 0
         for rname in iter_rings:
@@ -790,7 +789,6 @@ def generate_catalog(seed: int, budget: int) -> str:
                     f"{ideal_name(rname, ideal)}, {n_fold});"
                 )
                 count += 1
-                emitted += 1
                 if count >= 6:
                     break
             if count >= 6:

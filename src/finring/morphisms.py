@@ -10,6 +10,8 @@ answer can be quoted as a certificate.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,130 +332,126 @@ def element_signatures(ring: FiniteRng) -> list[tuple]:
 
 
 @dataclass(frozen=True)
-class IsoSearch:
-    hom: RingHom | None
-    reason: str
+class HomSearch(Sequence):
+    """The homs a generator-image search found, and how far it got.
+
+    `exhausted` is False exactly when the budget cut the search, so only an
+    exhausted search that found nothing certifies that nothing exists;
+    stopping at a cap or at the first hit is not a cut. `tried` counts the
+    assignments charged to the budget. The result reads as the tuple of its
+    homs: len, iteration, indexing and slicing.
+    """
+
+    homs: tuple[RingHom, ...]
     exhausted: bool
+    tried: int
+    reason: str
 
     @property
     def found(self) -> bool:
-        return self.hom is not None
+        return bool(self.homs)
+
+    @property
+    def hom(self) -> RingHom | None:
+        """The first hom found, or None."""
+        return self.homs[0] if self.homs else None
+
+    def __len__(self) -> int:
+        return len(self.homs)
+
+    def __getitem__(self, i):
+        return self.homs[i]
 
 
-def find_iso(A: FiniteRng, B: FiniteRng,
-             budget: int | None = None) -> IsoSearch:
-    """Search for an isomorphism. On failure, `reason` states the invariant
-    that rules one out, or reports an exhausted (or budget-cut) search."""
-    if budget is None:
-        budget = config.DEFAULT_SEARCH_BUDGET
-    if A.order != B.order:
-        return IsoSearch(None, f"orders differ ({A.order} vs {B.order})", True)
-    if A.has_one != B.has_one:
-        return IsoSearch(None, "one side has an identity, the other does not", True)
-    sig_a = element_signatures(A)
-    sig_b = element_signatures(B)
-    if sorted(sig_a) != sorted(sig_b):
-        return IsoSearch(None, "element signature multisets differ", True)
-    if A == B:
-        return IsoSearch(identity_hom(A), "identical presentations", True)
-    unital = A.has_one
-    gens = min_unital_generators(A) if unital else rng_generators(A)
-    if not gens:
-        # the prime subring is everything; the hom is forced
-        mapping = complete_hom(A, B, {}, unital)
-        if mapping is not None:
-            f = RingHom(A, B, mapping, unital=unital, check=False)
-            if f.is_bijective:
-                return IsoSearch(f, "forced by identity element", True)
-        return IsoSearch(None, "forced map is not an isomorphism", True)
-    candidates = []
-    for g in gens:
-        fits = [b for b in range(B.order) if sig_b[b] == sig_a[g]]
-        candidates.append(fits)
+def _search(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], choices: list,
+            unital: bool, budget: int | None, cap: int | None = None,
+            accept=None, injective: bool = False) -> HomSearch:
+    """The homs A -> B sending gens[i] into choices[i] that pass `accept`,
+    in image-tuple order, up to `cap` of them.
+
+    Each completion is charged to `budget`; under `injective`, assignments
+    that repeat an image are skipped free of charge. An uncapped search
+    whose assignment space exceeds the budget cannot finish, so it is
+    refused before its first completion. With no generators,
+    `itertools.product()` yields the one empty assignment, and the search
+    completes the forced map.
+    """
+    budget = config.DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if cap is None:
+        space = math.prod(map(len, choices))
+        if space > budget:
+            return HomSearch((), False, 0, f"needs {space} assignments, "
+                                           f"over the budget of {budget}")
+    homs: list[RingHom] = []
     tried = 0
-    for assignment in itertools.product(*candidates):
-        if len(set(assignment)) != len(assignment):
+    for assignment in itertools.product(*choices):
+        if injective and len(set(assignment)) != len(assignment):
             continue
         tried += 1
         if tried > budget:
-            return IsoSearch(None, f"search budget {budget} exhausted", False)
+            return HomSearch(tuple(homs), False, tried, f"search budget {budget} exhausted")
         mapping = complete_hom(A, B, dict(zip(gens, assignment)), unital)
         if mapping is None:
             continue
         f = RingHom(A, B, mapping, unital=unital, check=False)
-        if f.is_bijective:
-            return IsoSearch(f, "found by generator search", True)
-    return IsoSearch(None, f"no isomorphism after {tried} completions", True)
+        if accept is None or accept(f):
+            homs.append(f)
+            if len(homs) == cap:
+                break
+    reason = "found by generator search" if homs else f"none after {tried} completions"
+    return HomSearch(tuple(homs), True, tried, reason)
+
+
+def find_iso(A: FiniteRng, B: FiniteRng,
+             budget: int | None = None) -> HomSearch:
+    """Search for an isomorphism. On failure, `reason` states the invariant
+    that rules one out, or reports an exhausted (or budget-cut) search."""
+    if A.order != B.order:
+        return HomSearch((), True, 0, f"orders differ ({A.order} vs {B.order})")
+    if A.has_one != B.has_one:
+        return HomSearch((), True, 0, "one side has an identity, the other does not")
+    sig_a = element_signatures(A)
+    sig_b = element_signatures(B)
+    if sorted(sig_a) != sorted(sig_b):
+        return HomSearch((), True, 0, "element signature multisets differ")
+    if A == B:
+        return HomSearch((identity_hom(A),), True, 0, "identical presentations")
+    unital = A.has_one
+    gens = min_unital_generators(A) if unital else rng_generators(A)
+    choices = [[b for b in range(B.order) if sig_b[b] == sig_a[g]] for g in gens]
+    return _search(A, B, gens, choices, unital, budget, cap=1,
+                   accept=lambda f: f.is_bijective, injective=True)
 
 
 def enumerate_homs(A: FiniteRng, B: FiniteRng, unital: bool = True,
                    cap: int | None = None,
-                   budget: int | None = None) -> list[RingHom]:
+                   budget: int | None = None) -> HomSearch:
     """All homs A -> B (unital or not), by generator-image search. Ordered by
     the image tuple, so the result is deterministic. `cap` truncates; `budget`
-    bounds the number of completions attempted."""
-    if budget is None:
-        budget = config.DEFAULT_SEARCH_BUDGET
+    bounds the number of completions attempted, and an uncapped enumeration
+    that could not finish inside it returns no homs, with exhausted False."""
     if unital:
         if not (A.has_one and B.has_one):
-            return []
+            return HomSearch((), True, 0, "a unital hom needs identities on both sides")
         gens = min_unital_generators(A)
     else:
         gens = rng_generators(A)
-    found: list[RingHom] = []
-    tried = 0
-    for assignment in itertools.product(range(B.order), repeat=len(gens)):
-        tried += 1
-        if tried > budget:
-            break
-        mapping = complete_hom(A, B, dict(zip(gens, assignment)), unital)
-        if mapping is None:
-            continue
-        found.append(RingHom(A, B, mapping, unital=unital, check=False))
-        if cap is not None and len(found) >= cap:
-            break
-    return found
+    return _search(A, B, gens, [range(B.order)] * len(gens), unital, budget, cap=cap)
 
 
-@dataclass(frozen=True)
-class SectionSearch:
-    section: RingHom | None
-    exhausted: bool
-    tried: int
-
-    @property
-    def found(self) -> bool:
-        return self.section is not None
-
-
-def find_section(p: RingHom, budget: int | None = None) -> SectionSearch:
+def find_section(p: RingHom, budget: int | None = None) -> HomSearch:
     """Search for a unital hom s with p o s = id on p's codomain.
 
     Generator images are drawn from the fibers of p, so exhausting the space
     certifies that no section exists.
     """
-    if budget is None:
-        budget = config.DEFAULT_SEARCH_BUDGET
     if not p.is_surjective:
         raise NotSurjective(f"{p.name} is not onto its codomain")
     C, D = p.codomain, p.domain
     C.require_one()
     D.require_one()
     gens = min_unital_generators(C)
-    if not gens:
-        mapping = complete_hom(C, D, {}, True)
-        if mapping is not None and np.array_equal(p.map[mapping], np.arange(C.order)):
-            return SectionSearch(RingHom(C, D, mapping, check=False), True, 1)
-        return SectionSearch(None, True, 1)
-    fibers = [np.flatnonzero(p.map == g) for g in gens]
-    tried = 0
-    for assignment in itertools.product(*[f.tolist() for f in fibers]):
-        tried += 1
-        if tried > budget:
-            return SectionSearch(None, False, tried)
-        mapping = complete_hom(C, D, dict(zip(gens, assignment)), True)
-        if mapping is None:
-            continue
-        if np.array_equal(p.map[mapping], np.arange(C.order)):
-            return SectionSearch(RingHom(C, D, mapping, check=False), True, tried)
-    return SectionSearch(None, True, tried)
+    fibers = [np.flatnonzero(p.map == g).tolist() for g in gens]
+    identity = np.arange(C.order)
+    return _search(C, D, gens, fibers, True, budget, cap=1,
+                   accept=lambda s: np.array_equal(p.map[s.map], identity))

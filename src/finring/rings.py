@@ -362,6 +362,31 @@ def _distrib_scan(add: np.ndarray, mul: np.ndarray) -> tuple[int, int, int] | No
     )
 
 
+def _group_laws(add: np.ndarray, zero: int, gens: np.ndarray | None,
+                labels: Sequence[str]) -> tuple[list[Violation], bool]:
+    """The violated abelian-group laws of `add`, each with its first witness,
+    in the order both validators report them; add_associative is decided by
+    Light's test on the additive generating set `gens`, by a scan when that
+    fails or gens is None. The flag says whether + is commutative and
+    associative, the premise of every generator test that follows."""
+    n = add.shape[0]
+    found = []
+    add_comm = np.array_equal(add, add.T)
+    if not add_comm:
+        found.append(("add_commutative", np.argwhere(add != add.T)[0]))
+    w = None if gens is not None and _light(add, gens) else _assoc_scan(add, add)
+    if w is not None:
+        found.append(("add_associative", w))
+    add_ok = add_comm and w is None
+    row = add[zero]
+    if not np.array_equal(row, np.arange(n)):
+        found.append(("zero_neutral", (int(np.argwhere(row != np.arange(n))[0][0]),)))
+    has_inverse = (add == zero).any(axis=1)
+    if not has_inverse.all():
+        found.append(("add_inverse", (int(np.argwhere(~has_inverse)[0][0]),)))
+    return [Violation(axiom, tuple(labels[i] for i in x)) for axiom, x in found], add_ok
+
+
 def validate_rng(ring: FiniteRng) -> ValidationReport:
     """Decide every rng axiom exactly, for all elements.
 
@@ -384,26 +409,12 @@ def validate_rng(ring: FiniteRng) -> ValidationReport:
     scan finds the witness; valid rings never reach it.
     """
     add, mul, n, lab = ring.add, ring.mul, ring.order, ring.labels
-    violations: list[Violation] = []
+    gens = ring.additive_gens
+    violations, add_ok = _group_laws(add, ring.zero, gens, lab)
 
     def report(axiom: str, w: tuple[int, ...] | None) -> None:
         if w is not None:
             violations.append(Violation(axiom, tuple(lab[i] for i in w)))
-
-    add_comm = np.array_equal(add, add.T)
-    if not add_comm:
-        i, j = np.argwhere(add != add.T)[0]
-        report("add_commutative", (i, j))
-    gens = ring.additive_gens
-    w = None if gens is not None and _light(add, gens) else _assoc_scan(add, add)
-    report("add_associative", w)
-    add_ok = add_comm and w is None
-    row = add[ring.zero]
-    if not np.array_equal(row, np.arange(n)):
-        report("zero_neutral", (int(np.argwhere(row != np.arange(n))[0][0]),))
-    has_inverse = (add == ring.zero).any(axis=1)
-    if not has_inverse.all():
-        report("add_inverse", (int(np.argwhere(~has_inverse)[0][0]),))
 
     mul_comm = np.array_equal(mul, mul.T)
     if not mul_comm:

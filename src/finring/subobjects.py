@@ -34,7 +34,7 @@ from .rings import (
     _assoc_scan,
     _distrib_scan,
     _distributes,
-    _light,
+    _group_laws,
     _scan,
     is_domain,
     is_field,
@@ -527,41 +527,27 @@ def validate_module(M: FiniteModule) -> ValidationReport:
     failed generator test or premise hands over to a row-ordered scan for
     the lexicographically first witness.
     """
-    violations: list[Violation] = []
     add, act, n = M.add, M.action, M.order
     ring = M.ring
     lab = M.labels
+    if add.shape != (n, n) or act.shape != (ring.order, n):
+        return ValidationReport("module", (Violation("table_shape", ()),))
+    gens = _additive_generators(add, M.zero)
+    violations, add_ok = _group_laws(add, M.zero, gens, lab)
 
     def report(axiom: str, w: tuple[int, ...] | None, *alphabets) -> None:
         if w is not None:
             violations.append(Violation(axiom, tuple(ls[i] for ls, i in zip(alphabets, w))))
 
-    if add.shape != (n, n) or act.shape != (ring.order, n):
-        return ValidationReport("module", (Violation("table_shape", ()),))
-    add_comm = np.array_equal(add, add.T)
-    if not add_comm:
-        i, j = np.argwhere(add != add.T)[0]
-        report("add_commutative", (i, j), lab, lab)
-    gens = _additive_generators(add, M.zero)
-    w = None if gens is not None and _light(add, gens) else _assoc_scan(add, add)
-    report("add_associative", w, lab, lab, lab)
-    add_assoc = w is None
-    if not np.array_equal(add[M.zero], np.arange(n)):
-        x = int(np.argwhere(add[M.zero] != np.arange(n))[0][0])
-        report("zero_neutral", (x,), lab)
-    if not (add == M.zero).any(axis=1).all():
-        x = int(np.argwhere(~(add == M.zero).any(axis=1))[0][0])
-        report("add_inverse", (x,), lab)
-
     # a(x + y) = ax + ay
-    fast = gens is not None and add_assoc and add_comm
+    fast = gens is not None and add_ok
     w = None if fast and _distributes(add, act, gens) else _distrib_scan(add, act)
     report("action_distributes_over_module_add", w, ring.labels, lab, lab)
     module_ok = w is None
     # (a + b)x = ax + bx; the b that pass are closed under + when both + are
     # associative
     ring_gens = ring.additive_gens
-    fast = ring_gens is not None and add_assoc and all(
+    fast = ring_gens is not None and add_ok and all(
         np.array_equal(act[ring.add[:, b]], add[act, act[b][None, :]]) for b in ring_gens
     )
     w = None if fast else _scan(

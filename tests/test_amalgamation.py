@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import finring.amalgamation
+from finring import morphisms
 from finring.amalgamation import (
     alt_pullback_checks,
     amalgam,
@@ -269,7 +270,7 @@ def test_retraction_criterion_negative_is_certified():
     assert rep.witness("no_presentation_exists") == "True"
 
 
-def test_retraction_criterion_gives_no_certificate_past_its_budget():
+def test_retraction_criterion_gives_no_certificate_past_its_budget(monkeypatch):
     # Z2 x Z2 has characteristic 2 and Z4 x Z2 characteristic 4, so no unital
     # hom, and no section of the reduction, exists
     r22, b = direct_product([zmod(2), zmod(2)]), direct_product([zmod(4), zmod(2)])
@@ -279,8 +280,13 @@ def test_retraction_criterion_gives_no_certificate_past_its_budget():
     assert full.status == PASS
     assert full.witness("no_presentation_exists") == "True"
     # the two section candidates fit a budget of 2; the 8 hom assignments
-    # (|Z4 x Z2| images of one generator) do not
+    # (|Z4 x Z2| images of one generator) do not, so none of them is completed
+    calls = []
+    complete = morphisms.complete_hom
+    monkeypatch.setattr(morphisms, "complete_hom",
+                        lambda *args: calls.append(args) or complete(*args))
     cut = retraction_criterion_check(identity_hom(r22), beta, budget=2)
+    assert len(calls) == 2
     assert cut.status == HYPOTHESIS_NOT_MET
     assert cut.witness("assignments_tried") == "2"
     assert "8 assignments" in cut.witness("note")

@@ -78,6 +78,18 @@ def test_expected_hom_counts():
     assert len(enumerate_homs(p22, p22)) == 4
 
 
+def test_enumerate_homs_reports_a_budget_cut():
+    # all four images of the one generator of Z2 x Z2 give a hom
+    p22 = direct_product([zmod(2), zmod(2)])
+    cut = enumerate_homs(p22, p22, cap=4, budget=3)
+    assert not cut.exhausted and cut.tried == 4 and len(cut) == 3
+    assert cut[:2] == cut.homs[:2] and cut.hom is cut[0]
+    # uncapped, the four assignments cannot fit, so none is completed
+    refused = enumerate_homs(p22, p22, budget=3)
+    assert not refused.exhausted and refused.tried == 0 and not refused.found
+    assert refused.reason == "needs 4 assignments, over the budget of 3"
+
+
 def test_kernel_and_image_of_reduction():
     h = enumerate_homs(zmod(12), zmod(4))[0]
     k = kernel(h)
@@ -117,6 +129,9 @@ def test_find_iso_between_isomorphic_presentations():
     search = find_iso(q, zmod(4))
     assert search.found
     assert verify_iso(search.hom)
+    # 1 generates Z6, so the search completes the one forced map
+    forced = find_iso(_fresh(zmod(6), "x"), _fresh(zmod(6), "y"))
+    assert forced.found and forced.tried == 1 and verify_iso(forced.hom)
 
 
 def _fresh(ring, prefix):
@@ -203,7 +218,7 @@ def test_find_section_of_product_projection():
     p = enumerate_homs(p22, r2)[0]
     hit = find_section(p)
     assert hit.found
-    assert np.array_equal(p.map[hit.section.map], np.arange(2))
+    assert np.array_equal(p.map[hit.hom.map], np.arange(2))
 
     q = enumerate_homs(zmod(4), r2)[0]
     miss = find_section(q)
@@ -216,3 +231,5 @@ def test_no_unital_section_for_z6_onto_z3():
     p = enumerate_homs(zmod(6), zmod(3))[0]
     res = find_section(p)
     assert not res.found and res.exhausted
+    # Z3 has no generator beyond 1: the one forced map is the only candidate
+    assert res.tried == 1
