@@ -45,13 +45,62 @@ def test_parse_render_round_trip_is_identity():
         'ring B = product(zmod(2), zmod(3));\n'
         'ideal J = gen(A; 2, 4);\n'
         'hom f = map(A -> A; 0, 1, 2, 3, 4, 5);\n'
+        'ring C = gf(4);\n'
+        'ring T = trunc_poly(zmod(2), 2, 1);\n'
         'check cardinality(dup(A, J));\n'
         'check same_amalgam(f, id(A), J);\n'
         'check trunc_poly_amalgam(sub(B; "(1,0)"), gen(B; "(0,1)"), 1, 2);\n'
+        'check noetherian(amalg(f, gen(A; 3)));\n'
+        'check noetherian_xjx(sub(T), gen(T; "X1"));\n'
     )
     script = parse(text)
     assert script.render() == text
     assert parse(script.render()) == script
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("ring A = product(zmod(2) zmod(3));", ScriptSyntaxError,
+     "line 1, col 26: found 'zmod' (expected ,)"),
+    ("ideal J = gen(zmod(4) 2);", ScriptSyntaxError,
+     "line 1, col 23: found '2' (expected ;)"),
+    ("hom f = map(zmod(2), zmod(2); 0, 1);", ScriptSyntaxError,
+     "line 1, col 20: found ',' (expected ->)"),
+    ("ring A = zmod(x);", ScriptSyntaxError,
+     "line 1, col 15: found 'x' (expected number)"),
+    ("ring A = trunc_poly(zmod(2), x, 1);", ScriptSyntaxError,
+     "line 1, col 30: found 'x' (expected variable count)"),
+    ("ring A = trunc_poly(zmod(2), 1, x);", ScriptSyntaxError,
+     "line 1, col 33: found 'x' (expected degree bound)"),
+    ("hom f = map(zmod(2) -> zmod(2); 0, 1,);", ScriptSyntaxError,
+     "line 1, col 38: found ')' (expected image index)"),
+    ("ideal J = gen(zmod(4); x);", ScriptSyntaxError,
+     "line 1, col 24: found 'x' (expected element label | quoted label)"),
+    ("check d_plus_m(sub(zmod(4);), gen(zmod(4); 2));", ScriptSyntaxError,
+     "line 1, col 28: found ')' (expected element label | quoted label)"),
+    ("ring A = zmod(4;", ScriptSyntaxError,
+     "line 1, col 16: found ';' (expected ))"),
+    ("ideal J = gen(zmod(4); 2", ScriptSyntaxError,
+     "line 1, col 25: unexpected end (expected ))"),
+    ("ring A = zmod 4;", ScriptSyntaxError,
+     "line 1, col 15: found '4' (expected ()"),
+    ("ring sub = zmod(2);", ScriptSyntaxError,
+     "line 1, col 6: name 'sub' is already taken"),
+    ("foo A = zmod(2);", ScriptSyntaxError,
+     "line 1, col 1: found 'foo' (expected ring | ideal | hom | check)"),
+    ("= zmod(2);", ScriptSyntaxError,
+     "line 1, col 1: found '=' (expected ring | ideal | hom | check)"),
+    ("ring A = product(zmod(2), gen(zmod(2); 1));", TypeMismatch,
+     "line 1: expected a ring expression, got a ideal one"),
+    ("check cardinality(amalg(zmod(2), gen(zmod(2); 1)));", TypeMismatch,
+     "line 1: expected a hom expression, got a ring one"),
+], ids=["comma", "semicolon", "arrow", "number", "variable-count",
+        "degree-bound", "image-index", "label", "empty-labels", "rparen",
+        "end", "lparen", "reserved-name", "statement", "statement-token",
+        "ring-kind", "hom-kind"])
+def test_malformed_scripts_keep_their_error_text(text, error, message):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_syntax_errors_carry_location():
