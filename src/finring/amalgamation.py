@@ -447,6 +447,8 @@ def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> Amalgam:
     (a, (f(a)+j_1, ..., f(a)+j_n)). Order |A| * |J|^n."""
     if n < 1:
         raise InvalidParameter("n_amalgam needs n >= 1")
+    if n > config.size_guard():  # before any power of n, and B^n has n factors
+        raise SizeGuardExceeded(f"n = {n} exceeds size guard {config.size_guard()}")
     if f.domain.order * J.size ** n > config.size_guard():
         raise SizeGuardExceeded(
             f"order {f.domain.order * J.size ** n} exceeds size guard "

@@ -146,16 +146,78 @@ def tokenize(text: str) -> list[Token]:
 RING, IDEAL, HOM, SUBRING, AMALGAM, INT = (
     "ring", "ideal", "hom", "subring", "amalgam", "int",
 )
+LABEL = "label"
+
+
+class _Slot(NamedTuple):
+    """One argument of a form: the separator written before it, and what it
+    reads: an expression of one kind, an element label (LABEL), or a number
+    named by its `expect` label. `many` reads a comma-separated list, and an
+    `optional` slot reads as () when its separator does not follow."""
+
+    sep: str
+    read: str
+    many: bool = False
+    optional: bool = False
+
+
+class _Form(NamedTuple):
+    kind: str
+    slots: tuple[_Slot, ...]
+    build: object
+
+
+def _indices(ring, labels) -> list[int]:
+    return [ring.index_of(lab) for lab in labels]
+
+
+# One row per expression form; the parser, the renderer and the evaluator
+# read nothing else. Each builder looks its library call up by name when it
+# runs, so a rebinding of the module global (as a tracer does) takes effect.
+_FORMS = {
+    "zmod": _Form(RING, (_Slot("", "number"),), lambda n: zmod(n)),
+    "gf": _Form(RING, (_Slot("", "number"),), lambda q: galois_field(q)),
+    "product": _Form(RING, (_Slot("", RING), _Slot(", ", RING)),
+                     lambda a, b: direct_product([a, b])),
+    "trunc_poly": _Form(RING, (_Slot("", RING), _Slot(", ", "variable count"),
+                               _Slot(", ", "degree bound")),
+                        lambda ring, nv, deg: trunc_poly(ring, nv, deg)),
+    "gen": _Form(IDEAL, (_Slot("", RING), _Slot("; ", LABEL, many=True)),
+                 lambda ring, labels: ideal_from_generators(
+                     ring, _indices(ring, labels))),
+    "map": _Form(HOM, (_Slot("", RING), _Slot(" -> ", RING),
+                       _Slot("; ", "image index", many=True)),
+                 lambda dom, cod, images: RingHom(dom, cod, images,
+                                                  unital=True, name="map")),
+    "id": _Form(HOM, (_Slot("", RING),), lambda ring: identity_hom(ring)),
+    "sub": _Form(SUBRING, (_Slot("", RING),
+                           _Slot("; ", LABEL, many=True, optional=True)),
+                 lambda ring, labels: subring_generated(
+                     ring, _indices(ring, labels), include_one=True)),
+    "dup": _Form(AMALGAM, (_Slot("", RING), _Slot(", ", IDEAL)),
+                 lambda ring, ideal: duplication(ring, ideal)),
+    "amalg": _Form(AMALGAM, (_Slot("", HOM), _Slot(", ", IDEAL)),
+                   lambda hom, ideal: amalgam(hom, ideal)),
+}
 
 
 def _label_token(label: str) -> str:
     return label if label.isdigit() else '"' + label + '"'
 
 
+def _text(arg) -> str:
+    """One argument as a script writes it: an expression, a label or a number."""
+    if isinstance(arg, Expr):
+        return arg.render()
+    return _label_token(arg) if isinstance(arg, str) else str(arg)
+
+
 @dataclass(frozen=True)
 class Expr:
-    """One expression node. `form` picks the constructor, `kind` is its
-    static type, `args` holds child Exprs, ints, or label strings."""
+    """One expression node. `form` is a name reference ("ref"), a number
+    ("int") or a key of `_FORMS`, `kind` is its static type, and `args`
+    holds one entry per slot: a child Expr, an int, or a tuple of labels
+    or ints."""
 
     form: str
     kind: str
@@ -164,37 +226,15 @@ class Expr:
     col: int
 
     def render(self) -> str:
-        a = self.args
         if self.form == "ref":
-            return a[0]
+            return self.args[0]
         if self.form == "int":
-            return str(a[0])
-        if self.form == "zmod":
-            return f"zmod({a[0]})"
-        if self.form == "gf":
-            return f"gf({a[0]})"
-        if self.form == "product":
-            return f"product({a[0].render()}, {a[1].render()})"
-        if self.form == "trunc_poly":
-            return f"trunc_poly({a[0].render()}, {a[1]}, {a[2]})"
-        if self.form == "gen":
-            elems = ", ".join(_label_token(x) for x in a[1])
-            return f"gen({a[0].render()}; {elems})"
-        if self.form == "map":
-            images = ", ".join(str(x) for x in a[2])
-            return f"map({a[0].render()} -> {a[1].render()}; {images})"
-        if self.form == "id":
-            return f"id({a[0].render()})"
-        if self.form == "sub":
-            if a[1]:
-                elems = ", ".join(_label_token(x) for x in a[1])
-                return f"sub({a[0].render()}; {elems})"
-            return f"sub({a[0].render()})"
-        if self.form == "dup":
-            return f"dup({a[0].render()}, {a[1].render()})"
-        if self.form == "amalg":
-            return f"amalg({a[0].render()}, {a[1].render()})"
-        raise AssertionError(f"unrenderable form {self.form}")
+            return str(self.args[0])
+        return self.form + "(" + "".join(
+            slot.sep + (", ".join(map(_text, arg)) if slot.many else _text(arg))
+            for slot, arg in zip(_FORMS[self.form].slots, self.args)
+            if arg or not slot.optional
+        ) + ")"
 
 
 @dataclass(frozen=True)
@@ -233,13 +273,8 @@ class Script:
 # -- parser ---------------------------------------------------------------------------
 
 
-_EXPR_FORMS = {
-    "zmod": RING, "gf": RING, "product": RING, "trunc_poly": RING,
-    "gen": IDEAL, "map": HOM, "id": HOM, "sub": SUBRING,
-    "dup": AMALGAM, "amalg": AMALGAM,
-}
-
 _DEF_KINDS = (RING, IDEAL, HOM)
+_SEPARATORS = {", ": "COMMA", "; ": "SEMI", " -> ": "ARROW"}
 
 
 class _Parser:
@@ -270,26 +305,19 @@ class _Parser:
         checks: list[CheckStmt] = []
         while self.peek().type != "EOF":
             tok = self.peek()
-            if tok.type != "NAME":
-                raise ScriptSyntaxError(
-                    f"found {tok.value!r}", tok.line, tok.col,
-                    ("ring", "ideal", "hom", "check"),
-                )
-            if tok.value in _DEF_KINDS:
+            if tok.type == "NAME" and tok.value in _DEF_KINDS:
                 defs.append(self.definition())
-            elif tok.value == "check":
+            elif tok.type == "NAME" and tok.value == "check":
                 checks.append(self.check_stmt())
             else:
-                raise ScriptSyntaxError(
-                    f"found {tok.value!r}", tok.line, tok.col,
-                    ("ring", "ideal", "hom", "check"),
-                )
+                raise ScriptSyntaxError(f"found {tok.value!r}", tok.line,
+                                        tok.col, _DEF_KINDS + ("check",))
         return Script(tuple(defs), tuple(checks))
 
     def definition(self) -> Definition:
         kw = self.next()
         name_tok = self.expect("NAME", "name")
-        if name_tok.value in self.env or name_tok.value in _EXPR_FORMS \
+        if name_tok.value in self.env or name_tok.value in _FORMS \
                 or name_tok.value in _DEF_KINDS or name_tok.value == "check":
             raise ScriptSyntaxError(
                 f"name {name_tok.value!r} is already taken",
@@ -338,7 +366,7 @@ class _Parser:
             self.next()
             return Expr("int", INT, (int(tok.value),), tok.line, tok.col)
         name = self.expect("NAME", "expression").value
-        if name in _EXPR_FORMS:
+        if name in _FORMS:
             return self.form_expr(name, tok)
         kind = self.env.get(name)
         if kind is None:
@@ -347,57 +375,31 @@ class _Parser:
 
     def form_expr(self, form: str, tok: Token) -> Expr:
         self.expect("LPAREN", "(")
-        kind = _EXPR_FORMS[form]
-        if form in ("zmod", "gf"):
-            n = int(self.expect("NUMBER", "number").value)
-            args: tuple = (n,)
-        elif form == "product":
-            left = self.typed_expression(RING)
-            self.expect("COMMA", ",")
-            right = self.typed_expression(RING)
-            args = (left, right)
-        elif form == "trunc_poly":
-            ring = self.typed_expression(RING)
-            self.expect("COMMA", ",")
-            nv = int(self.expect("NUMBER", "variable count").value)
-            self.expect("COMMA", ",")
-            deg = int(self.expect("NUMBER", "degree bound").value)
-            args = (ring, nv, deg)
-        elif form == "gen":
-            ring = self.typed_expression(RING)
-            self.expect("SEMI", ";")
-            args = (ring, self.label_list())
-        elif form == "map":
-            dom = self.typed_expression(RING)
-            self.expect("ARROW", "->")
-            cod = self.typed_expression(RING)
-            self.expect("SEMI", ";")
-            images = [int(self.expect("NUMBER", "image index").value)]
-            while self.peek().type == "COMMA":
-                self.next()
-                images.append(int(self.expect("NUMBER", "image index").value))
-            args = (dom, cod, tuple(images))
-        elif form == "id":
-            args = (self.typed_expression(RING),)
-        elif form == "sub":
-            ring = self.typed_expression(RING)
-            labels: tuple[str, ...] = ()
-            if self.peek().type == "SEMI":
-                self.next()
-                labels = self.label_list()
-            args = (ring, labels)
-        elif form == "dup":
-            ring = self.typed_expression(RING)
-            self.expect("COMMA", ",")
-            args = (ring, self.typed_expression(IDEAL))
-        elif form == "amalg":
-            hom = self.typed_expression(HOM)
-            self.expect("COMMA", ",")
-            args = (hom, self.typed_expression(IDEAL))
-        else:
-            raise AssertionError(form)
+        args: list = []
+        for slot in _FORMS[form].slots:
+            if slot.sep:
+                sep = _SEPARATORS[slot.sep]
+                if slot.optional and self.peek().type != sep:
+                    args.append(())
+                    continue
+                self.expect(sep, slot.sep.strip())
+            args.append(self.slot(slot))
         self.expect("RPAREN", ")")
-        return Expr(form, kind, args, tok.line, tok.col)
+        return Expr(form, _FORMS[form].kind, tuple(args), tok.line, tok.col)
+
+    def slot(self, slot: _Slot):
+        items = [self.item(slot.read)]
+        while slot.many and self.peek().type == "COMMA":
+            self.next()
+            items.append(self.item(slot.read))
+        return tuple(items) if slot.many else items[0]
+
+    def item(self, read: str):
+        if read == LABEL:
+            return self.label()
+        if read in _DEF_KINDS:
+            return self.typed_expression(read)
+        return int(self.expect("NUMBER", read).value)
 
     def typed_expression(self, kind: str) -> Expr:
         expr = self.expression()
@@ -407,13 +409,6 @@ class _Parser:
                 f"got a {expr.kind} one"
             )
         return expr
-
-    def label_list(self) -> tuple[str, ...]:
-        labels = [self.label()]
-        while self.peek().type == "COMMA":
-            self.next()
-            labels.append(self.label())
-        return tuple(labels)
 
     def label(self) -> str:
         tok = self.peek()
@@ -452,40 +447,12 @@ class Evaluator:
         return val
 
     def _build(self, expr: Expr):
-        form, a = expr.form, expr.args
-        if form == "ref":
-            return self.value(self.defs[a[0]])
-        if form == "int":
-            return a[0]
-        if form == "zmod":
-            return zmod(a[0])
-        if form == "gf":
-            return galois_field(a[0])
-        if form == "product":
-            return direct_product([self.value(a[0]), self.value(a[1])])
-        if form == "trunc_poly":
-            return trunc_poly(self.value(a[0]), a[1], a[2])
-        if form == "gen":
-            ring = self.value(a[0])
-            return ideal_from_generators(
-                ring, [ring.index_of(lab) for lab in a[1]]
-            )
-        if form == "map":
-            dom, cod = self.value(a[0]), self.value(a[1])
-            return RingHom(dom, cod, np.array(a[2], dtype=np.int64),
-                           unital=True, name="map")
-        if form == "id":
-            return identity_hom(self.value(a[0]))
-        if form == "sub":
-            ring = self.value(a[0])
-            return subring_generated(
-                ring, [ring.index_of(lab) for lab in a[1]], include_one=True
-            )
-        if form == "dup":
-            return duplication(self.value(a[0]), self.value(a[1]))
-        if form == "amalg":
-            return amalgam(self.value(a[0]), self.value(a[1]))
-        raise AssertionError(form)
+        if expr.form == "ref":
+            return self.value(self.defs[expr.args[0]])
+        if expr.form == "int":
+            return expr.args[0]
+        return _FORMS[expr.form].build(*(
+            self.value(a) if isinstance(a, Expr) else a for a in expr.args))
 
 
 # -- check registry -------------------------------------------------------------------
@@ -644,7 +611,7 @@ def evaluate(script: Script) -> list[VerificationReport]:
 # -- catalog generation ---------------------------------------------------------------
 
 
-_MIN_BUDGET = 4
+_MIN_BUDGET = 12
 
 
 def _catalog_rings(budget: int) -> list[tuple[str, str, FiniteRng]]:
@@ -686,8 +653,8 @@ def generate_catalog(seed: int, budget: int) -> str:
     ]
     if budget < _MIN_BUDGET:
         return "\n".join(header + [
-            f"# warning: budget {budget} is below the smallest instance "
-            f"(order {_MIN_BUDGET}); catalog is empty",
+            f"# warning: budget {budget} is below the order of zmod({_MIN_BUDGET}), "
+            "which the fixed instances use; catalog is empty",
         ]) + "\n"
     rng = random.Random(seed)
     rings = _catalog_rings(budget)

@@ -44,12 +44,16 @@ class RingHom:
                  unital: bool = True, name: str | None = None, check: bool = True):
         self.domain = domain
         self.codomain = codomain
-        arr = np.asarray(index_map, dtype=np.int64).copy()
-        arr.setflags(write=False)
-        self.map = arr
         self.unital = bool(unital)
         self.name = name or f"{domain.name}->{codomain.name}"
         self._hash = None
+        try:
+            arr = np.asarray(index_map, dtype=np.int64).copy()
+        except OverflowError:  # an image beyond int64 is beyond the codomain
+            report = ValidationReport(self.name, (Violation("map_range", ()),))
+            raise MalformedMap(f"{self.name}: {report}") from None
+        arr.setflags(write=False)
+        self.map = arr
         if check:
             report = validate_hom(self)
             if not report.ok:
@@ -59,9 +63,6 @@ class RingHom:
         if x.ring != self.domain:
             raise AmbientMismatch("element is not in the hom's domain")
         return Element(self.codomain, int(self.map[x.index]))
-
-    def apply(self, index: int) -> int:
-        return int(self.map[index])
 
     @property
     def is_injective(self) -> bool:
@@ -243,17 +244,6 @@ def _generators(ring: FiniteRng, include_one: bool) -> tuple[int, ...]:
     return ring._gens[include_one]
 
 
-def min_unital_generators(ring: FiniteRng) -> tuple[int, ...]:
-    """Smallest generating set over the prime subring (1 comes for free)."""
-    ring.require_one()
-    return _generators(ring, True)
-
-
-def rng_generators(ring: FiniteRng) -> tuple[int, ...]:
-    """Smallest generating set as a rng (nothing comes for free)."""
-    return _generators(ring, False)
-
-
 def complete_hom(A: FiniteRng, B: FiniteRng, images: dict[int, int],
                  unital: bool) -> np.ndarray | None:
     """The hom A -> B that sends 0 to 0, 1 to 1 (when unital) and each key
@@ -417,7 +407,7 @@ def find_iso(A: FiniteRng, B: FiniteRng,
     if A == B:
         return HomSearch((identity_hom(A),), True, 0, "identical presentations")
     unital = A.has_one
-    gens = min_unital_generators(A) if unital else rng_generators(A)
+    gens = _generators(A, unital)
     choices = [[b for b in range(B.order) if sig_b[b] == sig_a[g]] for g in gens]
     return _search(A, B, gens, choices, unital, budget, cap=1,
                    accept=lambda f: f.is_bijective, injective=True)
@@ -430,12 +420,9 @@ def enumerate_homs(A: FiniteRng, B: FiniteRng, unital: bool = True,
     the image tuple, so the result is deterministic. `cap` truncates; `budget`
     bounds the number of completions attempted, and an uncapped enumeration
     that could not finish inside it returns no homs, with exhausted False."""
-    if unital:
-        if not (A.has_one and B.has_one):
-            return HomSearch((), True, 0, "a unital hom needs identities on both sides")
-        gens = min_unital_generators(A)
-    else:
-        gens = rng_generators(A)
+    if unital and not (A.has_one and B.has_one):
+        return HomSearch((), True, 0, "a unital hom needs identities on both sides")
+    gens = _generators(A, unital)
     return _search(A, B, gens, [range(B.order)] * len(gens), unital, budget, cap=cap)
 
 
@@ -450,7 +437,7 @@ def find_section(p: RingHom, budget: int | None = None) -> HomSearch:
     C, D = p.codomain, p.domain
     C.require_one()
     D.require_one()
-    gens = min_unital_generators(C)
+    gens = _generators(C, True)
     fibers = [np.flatnonzero(p.map == g).tolist() for g in gens]
     identity = np.arange(C.order)
     return _search(C, D, gens, fibers, True, budget, cap=1,

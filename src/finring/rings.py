@@ -539,10 +539,16 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
     significant), which makes the ordering reproducible."""
     if num_vars < 1 or max_deg < 0:
         raise InvalidParameter("trunc_poly needs num_vars >= 1 and max_deg >= 0")
-    # the monomial count is refused too: over a ring of order 1 the order
-    # alone never exceeds the guard
-    m = math.comb(num_vars + max_deg, num_vars)
+    # num_vars and max_deg are refused before math.comb, whose cost grows
+    # with them; for max_deg >= 1 the monomial count exceeds both, so no ring
+    # within the guard is lost. The count is refused too: over a ring of
+    # order 1 the order alone never exceeds the guard.
     guard = config.size_guard()
+    if num_vars > guard or max_deg > guard:
+        raise SizeGuardExceeded(
+            f"trunc_poly in {num_vars} variables of degree {max_deg} exceeds "
+            f"size guard {guard}")
+    m = math.comb(num_vars + max_deg, num_vars)
     if m > guard or base.order**m > guard:
         raise SizeGuardExceeded(
             f"trunc_poly order {base.order}^{m} exceeds size guard {guard}")
@@ -637,6 +643,8 @@ def galois_field(q: int) -> FiniteRng:
     irreducible m of degree k, so the construction is reproducible."""
     if q < 2:
         raise InvalidParameter("galois_field needs a prime power >= 2")
+    if q > config.size_guard():  # before the trial division, which takes q steps
+        raise SizeGuardExceeded(f"order {q} exceeds size guard {config.size_guard()}")
     p = next((d for d in range(2, q + 1) if q % d == 0), q)
     k, t = 0, q
     while t % p == 0:
@@ -644,8 +652,6 @@ def galois_field(q: int) -> FiniteRng:
         k += 1
     if t != 1:
         raise InvalidParameter(f"{q} is not a prime power")
-    if q > config.size_guard():
-        raise SizeGuardExceeded(f"order {q} exceeds size guard {config.size_guard()}")
     if k == 1:
         return rename(zmod(p), f"gf({q})")
     irr = None

@@ -117,10 +117,6 @@ class Ideal(MaskedSubset):
     def is_zero(self) -> bool:
         return self.size == 1
 
-    @property
-    def is_unit(self) -> bool:
-        return self.size == self.ring.order
-
 
 class Subrng(MaskedSubset):
     """A subrng of `ring` (closed under + and *)."""

@@ -200,11 +200,14 @@ def test_catalog_determinism_and_seed_sensitivity():
     assert a != c
 
 
-def test_catalog_below_minimum_budget_is_empty_with_warning():
-    text = generate_catalog(0, 2)
+@pytest.mark.parametrize("budget", [2, 4, 8, 11])
+def test_catalog_below_minimum_budget_is_empty_with_warning(budget, capsys):
+    text = generate_catalog(0, budget)
     assert "warning" in text
     assert "check" not in text
     assert parse(text).checks == ()
+    assert main(["catalog", "--budget", str(budget)]) == 0
+    assert capsys.readouterr() == (text, "")
 
 
 def test_catalog_respects_budget():
@@ -409,3 +412,38 @@ def test_violated_invariant_fails_its_check(monkeypatch):
     assert first.status == FAIL
     assert first.counterexample == "embedded module is not an ideal"
     assert second.status == PASS
+
+
+@pytest.mark.parametrize("check, note", [
+    ("cardinality(dup(gf(1000000007), gen(zmod(2); 1)))",
+     "order 1000000007 exceeds size guard 4096"),
+    ("cardinality(dup(trunc_poly(zmod(2), 3000000, 3000000), gen(zmod(2); 1)))",
+     "trunc_poly in 3000000 variables of degree 3000000 exceeds size guard 4096"),
+    ("cardinality(dup(trunc_poly(zmod(2), 10000000000000000000000, "
+     "10000000000000000000000), gen(zmod(2); 1)))",
+     "trunc_poly in 10000000000000000000000 variables of degree "
+     "10000000000000000000000 exceeds size guard 4096"),
+    ("cardinality(dup(trunc_poly(zmod(2), 100000000, 0), gen(zmod(2); 1)))",
+     "trunc_poly in 100000000 variables of degree 0 exceeds size guard 4096"),
+    ("iterated_iso(id(zmod(2)), gen(zmod(2); 1), 99999999999999999999)",
+     "n = 99999999999999999999 exceeds size guard 4096"),
+    ("kernel_identity(map(zmod(2) -> zmod(2); 0, 99999999999999999999), id(zmod(2)))",
+     "map: map: map_range at ()"),
+], ids=["gf", "trunc_poly", "trunc_poly-beyond-int64", "trunc_poly-degree-0",
+        "iterated_iso", "map-image-beyond-int64"])
+def test_huge_numbers_are_refused_before_big_integer_work(tmp_path, check, note):
+    # a child under a timeout and a 2 GiB address space, so that a hang or a
+    # huge allocation fails the test instead of stalling the suite
+    script, out = tmp_path / "s.fr", tmp_path / "r.json"
+    script.write_text(f"check {check};\n")
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from finring.dsl_cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, "check", str(script),
+                           "--json", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads(out.read_text())["reports"][0]
+    assert report["status"] == HYPOTHESIS_NOT_MET
+    assert report["witnesses"] == [{"name": "note", "value": note}]
