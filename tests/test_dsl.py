@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,36 @@ def test_catalog_determinism_and_seed_sensitivity():
     c = generate_catalog(1, 256)
     assert a == b
     assert a != c
+
+
+# sha256 of generate_catalog(seed, budget), frozen so that a faster ideal
+# lattice or hom search cannot change one byte of the catalog
+CATALOG_SHA256 = {
+    (0, 12): "9acad814f94d0b085788acce073f0cdbe1b022dee219c57b8e82206fb56d506a",
+    (0, 16): "eff2d01c4f71fa3e08a4d700d596b4eba3723894d30b776332e41c3eadf6bcbc",
+    (0, 32): "3b3d475a6bd457b5d97932812c0d733e27c4128a4bcf07e03f081929b1107fb6",
+    (0, 64): "306a193b82ae3a45dd51abfb54aae181f321d97a03f24ca22229b6fb7568b5f6",
+    (0, 256): "eeb04642c6496e98bdffc2fce00b2d3bce288c9b4890206cac27fa84e5282a5f",
+    (0, 1024): "2c95779ed436b7535cf1d59396f51b9579de4c5eee27442e71455f1594b3b4fc",
+    (1, 12): "e59923df2fcef288f5605237d02ac305cfcc0425686f7389d359a09dee4dada7",
+    (1, 16): "8c7bb305253f38b22f7d1de22981ac239d5fe403e7a8423196c0463278b960b7",
+    (1, 32): "8f1386a39f2d392e1ae52e2ab4d414382fd28afeaf6033d749dd6e504c22342f",
+    (1, 64): "516b883d1a7351ea44eb9556a5fb3f5d95f351700c18f51eea5cb143735e3d7f",
+    (1, 256): "b462355e64bc91ea0155db531e53842d2f074a4bd2e3291ad53b4898fe67d41b",
+    (1, 1024): "39cb54040aaa6f1954cf2a5b7fce203193b3e8d2fa52640b6a779b399da9d354",
+    (7, 12): "d45b28f21cc35a8c0684df49fd7bab70e4305059902411f12dcfa2dc3c21806b",
+    (7, 16): "479001f7854c2e5f282692c2cde7932f0a702cbfe66c5a61ad27ee3ad053d185",
+    (7, 32): "98823f0c9a37216b10eceb147742f4f2723809c2c6b8546c5f7b9c17d4b5cb46",
+    (7, 64): "ae1cdc4881b200ac04a2f77c5d8c6479ba6be24e850acc2bbf25d77729346101",
+    (7, 256): "82062adbfd1cb8ee040074505935caa33fc4555bc6c34f6c7eaff3ddb7b1532f",
+    (7, 1024): "caf7d367b46805401a591cfe1f8753ad2c67305c415131b9ee621aa361b29d1f",
+}
+
+
+@pytest.mark.parametrize("seed, budget", sorted(CATALOG_SHA256))
+def test_catalog_text_is_pinned(seed, budget):
+    text = generate_catalog(seed, budget)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[seed, budget]
 
 
 @pytest.mark.parametrize("budget", [2, 4, 8, 11])
