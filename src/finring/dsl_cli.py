@@ -277,6 +277,10 @@ _DEF_KINDS = (RING, IDEAL, HOM)
 _SEPARATORS = {", ": "COMMA", "; ": "SEMI", " -> ": "ARROW"}
 
 
+def _a(kind: str) -> str:  # "an ideal", "an amalgam", "a ring"
+    return f"{'an' if kind[0] in 'ai' else 'a'} {kind}"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -326,10 +330,9 @@ class _Parser:
         self.expect("EQUALS", "=")
         expr = self.expression()
         if expr.kind != kw.value:
-            article = "an" if expr.kind[0] in "ai" else "a"
             raise TypeMismatch(
                 f"line {name_tok.line}: {kw.value} {name_tok.value} is bound "
-                f"to {article} {expr.kind} expression"
+                f"to {_a(expr.kind)} expression"
             )
         self.expect("SEMI", ";")
         self.env[name_tok.value] = kw.value
@@ -405,8 +408,8 @@ class _Parser:
         expr = self.expression()
         if expr.kind != kind:
             raise TypeMismatch(
-                f"line {expr.line}: expected a {kind} expression, "
-                f"got a {expr.kind} one"
+                f"line {expr.line}: expected {_a(kind)} expression, "
+                f"got {_a(expr.kind)} one"
             )
         return expr
 
@@ -438,8 +441,8 @@ class Evaluator:
         self.defs = {d.name: d.expr for d in definitions}
         self.cache: dict[str, object] = {}
 
-    def value(self, expr: Expr):
-        key = expr.render()
+    def value(self, expr: Expr, key: str | None = None):
+        key = expr.render() if key is None else key
         if key in self.cache:
             return self.cache[key]
         val = self._build(expr)
@@ -590,10 +593,11 @@ def evaluate(script: Script) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for chk in script.checks:
         spec = REGISTRY[chk.name]
-        instance = ", ".join(a.render() for a in chk.args)
+        keys = [a.render() for a in chk.args]
+        instance = ", ".join(keys)
         start = time.perf_counter()
         try:
-            vals = [ev.value(a) for a in chk.args]
+            vals = [ev.value(a, key) for a, key in zip(chk.args, keys)]
             rep = spec.runner(vals, instance)
         except FinringError as exc:
             rep = VerificationReport(chk.name, instance, HYPOTHESIS_NOT_MET)

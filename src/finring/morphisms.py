@@ -99,10 +99,11 @@ class RingHom:
 
 
 def _respects(fmap: np.ndarray, cols: np.ndarray, table_b: np.ndarray,
-              gens: np.ndarray) -> bool:
+              gens: np.ndarray):
     """f(x op g) = f(x) op f(g) for every x and every g in gens, where cols
-    holds x op g (`FiniteRng._generator_columns`)."""
-    return bool((fmap[cols] == table_b[fmap[:, None], fmap[gens]]).all())
+    holds x op g (`FiniteRng._generator_columns`); one verdict per column
+    when fmap holds several maps as columns."""
+    return (fmap[cols] == table_b[fmap[:, None], fmap[gens]]).all(axis=(0, 1))
 
 
 def _first_miss(fmap: np.ndarray, table_a: np.ndarray,
@@ -113,15 +114,6 @@ def _first_miss(fmap: np.ndarray, table_a: np.ndarray,
         return None
     i, j = np.argwhere(bad)[0]
     return int(i), int(j)
-
-
-def _preserves_ops(fmap: np.ndarray, A: FiniteRng, B: FiniteRng) -> bool:
-    """Whether fmap preserves + and *, decided as in `validate_hom`."""
-    if A._generator_columns is None:
-        return _first_miss(fmap, A.add, B.add) is None and _first_miss(fmap, A.mul, B.mul) is None
-    add_cols, mul_cols = A._generator_columns
-    gens = A.additive_gens
-    return _respects(fmap, add_cols, B.add, gens) and _respects(fmap, mul_cols, B.mul, gens)
 
 
 def validate_hom(f: RingHom) -> ValidationReport:
@@ -244,36 +236,39 @@ def _generators(ring: FiniteRng, include_one: bool) -> tuple[int, ...]:
     return ring._gens[include_one]
 
 
-def complete_hom(A: FiniteRng, B: FiniteRng, images: dict[int, int],
-                 unital: bool) -> np.ndarray | None:
-    """The hom A -> B that sends 0 to 0, 1 to 1 (when unital) and each key
-    of `images` to its value, as an index map; None when the seeds do not
-    generate A as a subrng or no hom extends them.
+def complete_hom(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], assignments,
+                 unital: bool) -> list[np.ndarray | None]:
+    """For each row of `assignments` (k rows of len(gens) images), the hom
+    A -> B sending 0 to 0, 1 to 1 (when unital) and gens[i] to the row's
+    i-th image, as an index map; None when the seeds do not generate A as a
+    subrng, one element is asked for two images, or no hom extends them.
 
     How each element of A is reached from the seeds by + and * is derived
-    once per seed tuple (`_closure`, `_derivation`) and cached on A. A
-    completion replays it, one gather per step, and the candidate must then
-    pass the generator test of `validate_hom`. So a returned map is a hom,
-    and callers need not validate it again.
+    once per seed tuple (`_closure`, `_derivation`) and cached on A. The
+    batch replays it once for all k rows, one gather per step, and each
+    candidate must then pass the generator test of `validate_hom`. So a
+    returned map is a hom, and callers need not validate it again.
     """
-    fixed = [(A.one, B.one)] if unital else []
-    want = {A.zero: B.zero}
-    for g, img in fixed + list(images.items()):
-        if want.setdefault(g, img) != img:
-            return None  # one element asked for two images
-    seeds = tuple(want)
+    keys = [A.zero, A.one][:1 + unital] + list(gens)
+    seeds = tuple(dict.fromkeys(keys))
     if seeds not in A._programs:
         mask, rounds = _closure(A.order, seeds, A.add, A.mul, absorbing=False)
         A._programs[seeds] = _derivation(rounds) if mask.all() else None
     program = A._programs[seeds]
     if program is None:
-        return None
-    mapping = np.empty(A.order, dtype=np.int64)
-    mapping[list(seeds)] = list(want.values())
+        return [None] * len(assignments)
+    vals = np.array([[B.zero, B.one][:1 + unital] + list(row) for row in assignments]).T
+    maps = np.empty((A.order, vals.shape[1]), dtype=np.int64)  # one map per column
+    maps[keys] = vals
+    ok = (maps[keys] == vals).all(axis=0)  # a seed asked for two images keeps one
     tables = (B.add, B.mul)
     for op, z, x, y in program:
-        mapping[z] = tables[op][mapping[x], mapping[y]]
-    return mapping if _preserves_ops(mapping, A, B) else None
+        maps[z] = tables[op][maps[x], maps[y]]
+    columns = A._generator_columns or (None, None)  # no S: the full scan
+    for table_a, table_b, cols in zip((A.add, A.mul), tables, columns):
+        ok &= ([_first_miss(m, table_a, table_b) is None for m in maps.T] if cols is None
+               else _respects(maps, cols, table_b, A.additive_gens))
+    return [m if good else None for m, good in zip(maps.T, ok)]
 
 
 # -- invariants used to prune searches ----------------------------------------------
@@ -353,6 +348,9 @@ class HomSearch(Sequence):
         return self.homs[i]
 
 
+_BATCH_CELLS = 1 << 12  # map cells per `complete_hom` batch: 1 map at order 4096
+
+
 def _search(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], choices: list,
             unital: bool, budget: int | None, cap: int | None = None,
             accept=None, injective: bool = False) -> HomSearch:
@@ -360,11 +358,13 @@ def _search(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], choices: list,
     in image-tuple order, up to `cap` of them.
 
     Each completion is charged to `budget`; under `injective`, assignments
-    that repeat an image are skipped free of charge. An uncapped search
-    whose assignment space exceeds the budget cannot finish, so it is
-    refused before its first completion. With no generators,
-    `itertools.product()` yields the one empty assignment, and the search
-    completes the forced map.
+    that repeat an image are skipped free of charge. `complete_hom` takes
+    them in batches of `_BATCH_CELLS // |A|`, and the rows of a batch after
+    the hit that ends a capped search are completed but not charged. An
+    uncapped search whose assignment space exceeds the budget cannot
+    finish, so it is refused before its first completion. With no
+    generators, `itertools.product()` yields the one empty assignment, and
+    the search completes the forced map.
     """
     budget = config.DEFAULT_SEARCH_BUDGET if budget is None else budget
     if cap is None:
@@ -372,22 +372,23 @@ def _search(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], choices: list,
         if space > budget:
             return HomSearch((), False, 0, f"needs {space} assignments, "
                                            f"over the budget of {budget}")
+    assignments = (a for a in itertools.product(*choices)
+                   if not injective or len(set(a)) == len(a))
+    size = max(1, _BATCH_CELLS // A.order)
     homs: list[RingHom] = []
     tried = 0
-    for assignment in itertools.product(*choices):
-        if injective and len(set(assignment)) != len(assignment):
-            continue
-        tried += 1
-        if tried > budget:
-            return HomSearch(tuple(homs), False, tried, f"search budget {budget} exhausted")
-        mapping = complete_hom(A, B, dict(zip(gens, assignment)), unital)
-        if mapping is None:
-            continue
-        f = RingHom(A, B, mapping, unital=unital, check=False)
-        if accept is None or accept(f):
-            homs.append(f)
-            if len(homs) == cap:
-                break
+    while batch := list(itertools.islice(assignments, max(0, min(size, budget - tried)))):
+        for mapping in complete_hom(A, B, gens, batch, unital):
+            tried += 1
+            if mapping is None:
+                continue
+            f = RingHom(A, B, mapping, unital=unital, check=False)
+            if accept is None or accept(f):
+                homs.append(f)
+                if len(homs) == cap:
+                    return HomSearch(tuple(homs), True, tried, "found by generator search")
+    if next(assignments, None) is not None:  # charged, never completed
+        return HomSearch(tuple(homs), False, tried + 1, f"search budget {budget} exhausted")
     reason = "found by generator search" if homs else f"none after {tried} completions"
     return HomSearch(tuple(homs), True, tried, reason)
 

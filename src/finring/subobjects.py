@@ -212,11 +212,33 @@ def ideal_from_members(ring: FiniteRng, members) -> Ideal:
     return Ideal(ring, mask)
 
 
+def _principal(ring: FiniteRng, x: int) -> np.ndarray:
+    """Mask of the ideal (x): with a 1, R·x, the row `mul[x]`, which holds
+    0x and 1x and is closed as rx + sx = (r + s)x and s(rx) = (sr)x; without
+    one, the closure of {0, x}."""
+    if not ring.has_one:
+        return _closure(ring.order, (ring.zero, x), ring.add, ring.mul, absorbing=True)[0]
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ring.mul[x]] = True
+    return mask
+
+
+def _sum_mask(ring: FiniteRng, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of {i + j : i in a, j in b}, one gather. For ideals it is the
+    ideal I + J: it holds 0, + keeps it closed, and r(i + j) = ri + rj."""
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ring.add[a][:, b]] = True
+    return mask
+
+
 def ideal_from_generators(ring: FiniteRng, generators) -> Ideal:
-    """Smallest ideal containing the generators: closure under addition,
-    negation, and multiplication by arbitrary ring elements."""
-    seed = [ring.zero] + [_as_index(ring, g) for g in generators]
-    mask, _ = _closure(ring.order, seed, ring.add, ring.mul, absorbing=True)
+    """Smallest ideal containing the generators: the sum (g1) + ... + (gk)
+    of their principal ideals (`_principal`, `_sum_mask`), a generator
+    already in the partial sum adding nothing."""
+    mask = np.arange(ring.order) == ring.zero
+    for g in [_as_index(ring, g) for g in generators]:
+        if not mask[g]:
+            mask = _sum_mask(ring, mask, _principal(ring, g))
     return Ideal(ring, mask)
 
 
@@ -236,10 +258,7 @@ def _same_ambient(a, b) -> None:
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     _same_ambient(I, J)
-    sums = I.ring.add[np.ix_(I.indices, J.indices)]
-    mask = np.zeros(I.ring.order, dtype=bool)
-    mask[sums.ravel()] = True
-    return Ideal(I.ring, mask)
+    return Ideal(I.ring, _sum_mask(I.ring, I.members, J.members))
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
@@ -293,7 +312,8 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     ideal's mask, so they live as long as the ring does.
 
     The quotient is not validated again. Every `Ideal` is a closure, a
-    kernel, a preimage, a sum or intersection of ideals, or checked by
+    kernel, a preimage, a sum or intersection of ideals, a principal ideal
+    R·x of a unital ring (`_principal`), or checked by
     `ideal_from_members`, so the class map is a congruence and the quotient
     is the image of a valid ring under a surjective hom, where every axiom
     holds. The projection is validated, on the additive generators of
@@ -445,26 +465,25 @@ def ideal_as_rng(I: Ideal, name: str | None = None):
 
 
 def all_ideals(ring: FiniteRng, cap: int | None = None) -> list[Ideal]:
-    """Every ideal, found by closing each reachable ideal under one more
-    generator; returned sorted by (size, membership mask) so the order is
-    reproducible. `cap` truncates the sorted list."""
-    seen: dict[bytes, Ideal] = {}
-    start = zero_ideal(ring)
-    queue = [start]
-    seen[start.members.tobytes()] = start
+    """Every ideal, sorted by (size, membership mask) so the order is
+    reproducible; `cap` truncates the sorted list.
+
+    An ideal is the sum of the principal ideals of its members, and a sum
+    of ideals is one (`_sum_mask`). So the ideals are the closure of {0}
+    under adding one more principal ideal (`_principal`, once per element),
+    skipping those inside the ideal at hand."""
+    masks = {m.tobytes(): m for m in (_principal(ring, x) for x in range(ring.order))}
+    principals = np.array(list(masks.values()))
+    start = np.arange(ring.order) == ring.zero
+    seen, queue = {start.tobytes(): start}, [start]
     while queue:
         cur = queue.pop()
-        outside = np.flatnonzero(~cur.members)
-        for x in outside:
-            bigger = ideal_from_generators(ring, list(cur.indices) + [int(x)])
-            key = bigger.members.tobytes()
-            if key not in seen:
-                seen[key] = bigger
+        for p in principals[(principals & ~cur).any(axis=1)]:
+            bigger = _sum_mask(ring, cur, p)
+            if seen.setdefault(bigger.tobytes(), bigger) is bigger:
                 queue.append(bigger)
-    result = sorted(seen.values(), key=lambda i: (i.size, i.members.tobytes()))
-    if cap is not None:
-        result = result[:cap]
-    return result
+    result = sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
+    return [Ideal(ring, m) for m in result[:cap]]
 
 
 # -- finite modules ---------------------------------------------------------------

@@ -30,6 +30,24 @@ def ideal_closure(add, mul, zero: int, gens) -> frozenset[int]:
         cur = new
 
 
+def all_ideals_closure(add, mul, zero: int) -> list[frozenset[int]]:
+    """Every ideal, found by closing each reachable ideal under one more
+    generator (`ideal_closure`), sorted by size and then by membership
+    mask read as a tuple of flags over the indices."""
+    n = len(add)
+    start = ideal_closure(add, mul, zero, [])
+    seen, queue = {start}, [start]
+    while queue:
+        cur = queue.pop()
+        for x in range(n):
+            if x not in cur:
+                bigger = ideal_closure(add, mul, zero, [*cur, x])
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    return sorted(seen, key=lambda s: (len(s), [i in s for i in range(n)]))
+
+
 def nilpotent_set(mul, zero: int) -> frozenset[int]:
     n = len(mul)
     out = set()
@@ -346,6 +364,37 @@ def complete_hom_worklist(a, b, images: dict[int, int], unital: bool):
     if -1 in mapping:
         return None
     return mapping
+
+
+def search_worklist(a, b, gens, choices, unital: bool, budget: int, cap=None,
+                    accept=None, injective: bool = False):
+    """The generator-image search one assignment at a time, each completed
+    by `complete_hom_worklist`: (maps, exhausted, tried, reason), with maps
+    the completed lists that pass `accept`, up to `cap` of them. An
+    uncapped search whose space exceeds the budget is refused untried;
+    otherwise each assignment is charged (under `injective`, those that
+    repeat an image are skipped free), and the one past the budget cuts
+    the search without being completed."""
+    if cap is None:
+        space = 1
+        for c in choices:
+            space *= len(c)
+        if space > budget:
+            return [], False, 0, f"needs {space} assignments, over the budget of {budget}"
+    maps, tried = [], 0
+    for assignment in product(*choices):
+        if injective and len(set(assignment)) != len(assignment):
+            continue
+        tried += 1
+        if tried > budget:
+            return maps, False, tried, f"search budget {budget} exhausted"
+        mapping = complete_hom_worklist(a, b, dict(zip(gens, assignment)), unital)
+        if mapping is not None and (accept is None or accept(mapping)):
+            maps.append(mapping)
+            if len(maps) == cap:
+                break
+    reason = "found by generator search" if maps else f"none after {tried} completions"
+    return maps, True, tried, reason
 
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI", "=": "EQUALS"}

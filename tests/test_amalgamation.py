@@ -284,7 +284,8 @@ def test_retraction_criterion_gives_no_certificate_past_its_budget(monkeypatch):
     calls = []
     complete = morphisms.complete_hom
     monkeypatch.setattr(morphisms, "complete_hom",
-                        lambda *args: calls.append(args) or complete(*args))
+                        lambda A, B, gens, rows, unital:
+                        calls.extend(rows) or complete(A, B, gens, rows, unital))
     cut = retraction_criterion_check(identity_hom(r22), beta, budget=2)
     assert len(calls) == 2
     assert cut.status == HYPOTHESIS_NOT_MET

@@ -91,13 +91,17 @@ def test_parse_render_round_trip_is_identity():
     ("= zmod(2);", ScriptSyntaxError,
      "line 1, col 1: found '=' (expected ring | ideal | hom | check)"),
     ("ring A = product(zmod(2), gen(zmod(2); 1));", TypeMismatch,
-     "line 1: expected a ring expression, got a ideal one"),
+     "line 1: expected a ring expression, got an ideal one"),
     ("check cardinality(amalg(zmod(2), gen(zmod(2); 1)));", TypeMismatch,
      "line 1: expected a hom expression, got a ring one"),
+    ("ring A = product(zmod(2), dup(zmod(2), gen(zmod(2); 1)));", TypeMismatch,
+     "line 1: expected a ring expression, got an amalgam one"),
+    ("check cardinality(dup(zmod(2), zmod(2)));", TypeMismatch,
+     "line 1: expected an ideal expression, got a ring one"),
 ], ids=["comma", "semicolon", "arrow", "number", "variable-count",
         "degree-bound", "image-index", "label", "empty-labels", "rparen",
         "end", "lparen", "reserved-name", "statement", "statement-token",
-        "ring-kind", "hom-kind"])
+        "ring-kind", "hom-kind", "amalgam-kind", "ideal-kind"])
 def test_malformed_scripts_keep_their_error_text(text, error, message):
     with pytest.raises(error) as err:
         parse(text)

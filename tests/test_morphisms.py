@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finring import config, morphisms
 from finring.errors import AmbientMismatch, MalformedMap
 from finring.morphisms import (
+    HomSearch,
     RingHom,
     complete_hom,
     compose,
@@ -27,7 +29,7 @@ from finring.morphisms import (
 from finring.rings import direct_product, from_tables, galois_field, trunc_poly, zmod
 from finring.subobjects import ideal_as_rng, ideal_from_generators, quotient_ring
 
-from oracles import all_homs_brute, complete_hom_worklist
+from oracles import all_homs_brute, complete_hom_worklist, search_worklist
 
 Z2 = zmod(2)
 # unital rings plus two rngs without identity, all small enough for the worklist
@@ -197,9 +199,72 @@ def test_complete_hom_matches_worklist(data):
         images = {k: int(h[k]) for k in keys}
     else:
         images = {k: data.draw(st.integers(0, B.order - 1), label="image") for k in keys}
-    got = complete_hom(A, B, images, unital)
+    got, = complete_hom(A, B, tuple(images), [tuple(images.values())], unital)
     want = complete_hom_worklist(A, B, images, unital)
     assert (None if got is None else got.tolist()) == want
+
+
+def _oracle_search(A, B, gens, choices, unital, budget, cap=None, accept=None,
+                   injective=False):
+    """`morphisms._search` one assignment at a time, on the worklist oracle."""
+    def hom(m):
+        return RingHom(A, B, m, unital=unital, check=False)
+
+    maps, exhausted, tried, reason = search_worklist(
+        A, B, gens, [list(c) for c in choices], unital,
+        config.DEFAULT_SEARCH_BUDGET if budget is None else budget, cap,
+        None if accept is None else (lambda m: accept(hom(m))), injective)
+    return HomSearch(tuple(map(hom, maps)), exhausted, tried, reason)
+
+
+def _permuted(ring, seed):
+    """The same ring with its elements listed in a shuffled order."""
+    perm = np.random.default_rng(seed).permutation(ring.order)
+    inv = np.argsort(perm)
+    return from_tables(inv[ring.add[np.ix_(perm, perm)]], inv[ring.mul[np.ix_(perm, perm)]],
+                       int(inv[ring.zero]), name=f"perm({ring.name})")
+
+
+Z0 = zmod(1)
+P8 = trunc_poly(Z2, 2, 1)  # two generators, 64 assignments into itself
+F8, F9 = galois_field(8), galois_field(9)
+E8 = ideal_as_rng(ideal_from_generators(zmod(8), [2]))[0]  # no identity
+Z2Z2, Z2Z4 = direct_product([Z2, Z2]), direct_product([Z2, zmod(4)])
+SEARCHES = [
+    # (search domain, call taking budget and cap); find_* always cap at 1
+    (P8, lambda b, c: enumerate_homs(P8, P8, cap=c, budget=b)),
+    (P8, lambda b, c: enumerate_homs(P8, P8, unital=False, cap=c, budget=b)),
+    (E8, lambda b, c: enumerate_homs(E8, zmod(8), unital=False, cap=c, budget=b)),
+    (Z2Z4, lambda b, c: enumerate_homs(Z2Z4, trunc_poly(Z2, 1, 2), cap=c, budget=b)),
+    (Z0, lambda b, c: enumerate_homs(Z0, Z0, cap=c, budget=b)),
+    (Z0, lambda b, c: enumerate_homs(Z0, zmod(3), cap=c, budget=b)),
+    (Z0, lambda b, c: enumerate_homs(Z0, zmod(3), unital=False, cap=c, budget=b)),
+    (P8, lambda b, c: find_iso(P8, _permuted(P8, 1), budget=b)),
+    (F8, lambda b, c: find_iso(F8, _permuted(F8, 2), budget=b)),  # hit on the 3rd
+    (F9, lambda b, c: find_iso(F9, _permuted(F9, 1), budget=b)),  # hit on the 6th
+    (Z2Z4, lambda b, c: find_iso(Z2Z4, direct_product([zmod(4), Z2]), budget=b)),
+    (Z2Z2, lambda b, c: find_section(RingHom(Z2Z2, Z2, [0, 1, 0, 1]), budget=b)),
+    (P8, lambda b, c: find_section(RingHom(direct_product([P8, P8]), P8, np.arange(64) // 8),
+                                   budget=b)),
+    (zmod(3), lambda b, c: find_section(enumerate_homs(zmod(6), zmod(3))[0], budget=b)),
+    # Z2[X]/(X^3) onto Z2[X]/(X^2): neither lift of X squares to 0
+    (trunc_poly(Z2, 1, 1), lambda b, c: find_section(
+        RingHom(trunc_poly(Z2, 1, 2), trunc_poly(Z2, 1, 1), np.arange(8) // 2), budget=b)),
+]
+
+
+@pytest.mark.parametrize("domain, search", SEARCHES, ids=range(len(SEARCHES)))
+def test_batched_search_matches_one_assignment_oracle(domain, search, monkeypatch):
+    for budget in [*range(10), 63, 64, 65, None]:
+        for cap in (None, 1, 2, 8):
+            with monkeypatch.context() as m:
+                m.setattr(morphisms, "_search", _oracle_search)
+                want = search(budget, cap)
+            for rows in (1, 2, 3, None):
+                cells = morphisms._BATCH_CELLS if rows is None else rows * domain.order
+                with monkeypatch.context() as m:
+                    m.setattr(morphisms, "_BATCH_CELLS", cells)
+                    assert search(budget, cap) == want, (budget, cap, rows)
 
 
 def test_find_iso_distinguishes_non_isomorphic_rings():

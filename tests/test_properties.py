@@ -22,9 +22,10 @@ from finring.morphisms import (
     verify_iso,
 )
 from finring.reports import PASS
-from finring.rings import direct_product, zmod
+from finring.rings import direct_product, galois_field, trunc_poly, zmod
 from finring.subobjects import (
     all_ideals,
+    ideal_as_rng,
     ideal_from_generators,
     ideal_product,
     is_idempotent_ideal,
@@ -36,13 +37,22 @@ from finring.subobjects import subring_generated
 from oracles import amalgam_pairs, ideal_closure, nilpotent_set
 
 MODULI = st.integers(min_value=2, max_value=12)
+# unital rings, then rngs without 1: the ideals (2) of Z/8, (4) of Z/16 and
+# (3) of Z/18 as rngs of their own
+IDEAL_RINGS = [zmod(n) for n in range(1, 13)] + [
+    direct_product([zmod(2), zmod(4)]),
+    direct_product([zmod(2), zmod(3), zmod(2)]),
+    trunc_poly(zmod(2), 1, 2),
+    trunc_poly(zmod(2), 2, 1),
+    galois_field(8),
+] + [ideal_as_rng(ideal_from_generators(zmod(n), [g]))[0] for n, g in ((8, 2), (16, 4), (18, 3))]
 
 
-@settings(deadline=None, max_examples=40)
-@given(MODULI, st.integers(min_value=0, max_value=11))
-def test_ideal_closure_is_ideal_and_matches_naive(n, g):
-    r = zmod(n)
-    gens = [g % n]
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_ideal_closure_is_ideal_and_matches_naive(data):
+    r = data.draw(st.sampled_from(IDEAL_RINGS), label="ring")
+    gens = data.draw(st.lists(st.integers(0, r.order - 1), max_size=3), label="gens")
     ideal = ideal_from_generators(r, gens)
     naive = ideal_closure(r.add.tolist(), r.mul.tolist(), r.zero, gens)
     assert frozenset(ideal.indices.tolist()) == naive

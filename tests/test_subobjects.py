@@ -7,9 +7,10 @@ import pytest
 
 from finring.errors import NotMultiplicativelyClosed
 from finring.morphisms import first_iso_witness, identity_hom, verify_iso
-from finring.rings import direct_product, trunc_poly, zmod
+from finring.rings import direct_product, galois_field, trunc_poly, zmod
 from finring.subobjects import (
     all_ideals,
+    ideal_as_rng,
     ideal_from_generators,
     ideal_intersection,
     ideal_product,
@@ -31,6 +32,7 @@ from finring.subobjects import (
 )
 
 from oracles import (
+    all_ideals_closure,
     coset_partition,
     fraction_class_count,
     ideal_closure,
@@ -46,6 +48,25 @@ def test_ideal_closure_matches_naive_worklist():
         want = ideal_closure(r.add.tolist(), r.mul.tolist(), r.zero, gens)
         got = ideal_from_generators(r, gens)
         assert frozenset(got.indices.tolist()) == want
+
+
+LATTICE_RINGS = [zmod(n) for n in range(1, 25)] + [
+    direct_product([zmod(2), zmod(2)]),
+    direct_product([zmod(2), zmod(4)]),
+    direct_product([zmod(3), zmod(6)]),
+    direct_product([zmod(2), zmod(2), zmod(2)]),
+    trunc_poly(zmod(2), 1, 2),
+    trunc_poly(zmod(2), 2, 1),
+    trunc_poly(zmod(3), 1, 1),
+    galois_field(8),
+] + [ideal_as_rng(ideal_from_generators(zmod(n), [g]))[0] for n, g in ((8, 2), (16, 4), (18, 3))]
+
+
+@pytest.mark.parametrize("ring", LATTICE_RINGS, ids=lambda r: r.name)
+def test_all_ideals_matches_per_element_closure(ring):
+    want = all_ideals_closure(ring.add.tolist(), ring.mul.tolist(), ring.zero)
+    assert [frozenset(I.indices.tolist()) for I in all_ideals(ring)] == want
+    assert [frozenset(I.indices.tolist()) for I in all_ideals(ring, cap=3)] == want[:3]
 
 
 def test_ideal_lattice_of_z12():
