@@ -212,15 +212,16 @@ def ideal_from_members(ring: FiniteRng, members) -> Ideal:
     return Ideal(ring, mask)
 
 
-def _principal(ring: FiniteRng, x: int) -> np.ndarray:
-    """Mask of the ideal (x): with a 1, R·x, the row `mul[x]`, which holds
-    0x and 1x and is closed as rx + sx = (r + s)x and s(rx) = (sr)x; without
-    one, the closure of {0, x}."""
+def _principal(ring: FiniteRng, xs) -> np.ndarray:
+    """Masks of the ideals (x), one row per x in xs: with a 1, R·x, the row
+    `mul[x]`, which holds 0x and 1x and is closed as rx + sx = (r + s)x and
+    s(rx) = (sr)x; without one, the closure of {0, x}."""
     if not ring.has_one:
-        return _closure(ring.order, (ring.zero, x), ring.add, ring.mul, absorbing=True)[0]
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.mul[x]] = True
-    return mask
+        return np.array([_closure(ring.order, (ring.zero, x), ring.add, ring.mul,
+                                  absorbing=True)[0] for x in xs])
+    masks = np.zeros((len(xs), ring.order), dtype=bool)
+    masks[np.arange(len(xs))[:, None], ring.mul[xs]] = True
+    return masks
 
 
 def _sum_mask(ring: FiniteRng, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,7 +239,7 @@ def ideal_from_generators(ring: FiniteRng, generators) -> Ideal:
     mask = np.arange(ring.order) == ring.zero
     for g in [_as_index(ring, g) for g in generators]:
         if not mask[g]:
-            mask = _sum_mask(ring, mask, _principal(ring, g))
+            mask = _sum_mask(ring, mask, _principal(ring, [g])[0])
     return Ideal(ring, mask)
 
 
@@ -472,7 +473,7 @@ def all_ideals(ring: FiniteRng, cap: int | None = None) -> list[Ideal]:
     of ideals is one (`_sum_mask`). So the ideals are the closure of {0}
     under adding one more principal ideal (`_principal`, once per element),
     skipping those inside the ideal at hand."""
-    masks = {m.tobytes(): m for m in (_principal(ring, x) for x in range(ring.order))}
+    masks = {m.tobytes(): m for m in _principal(ring, np.arange(ring.order))}
     principals = np.array(list(masks.values()))
     start = np.arange(ring.order) == ring.zero
     seen, queue = {start.tobytes(): start}, [start]
