@@ -37,6 +37,7 @@ from finring.subobjects import subring_generated
 from oracles import amalgam_pairs, ideal_closure, nilpotent_set
 
 MODULI = st.integers(min_value=2, max_value=12)
+
 # unital rings, then rngs without 1: the ideals (2) of Z/8, (4) of Z/16 and
 # (3) of Z/18 as rngs of their own
 IDEAL_RINGS = [zmod(n) for n in range(1, 13)] + [
