@@ -21,6 +21,7 @@ from .errors import (
     HypothesisViolated,
     IncompatibleStructures,
     InvalidParameter,
+    MalformedTable,
     SizeGuardExceeded,
 )
 from .morphisms import (
@@ -38,13 +39,14 @@ from .morphisms import (
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .rings import (
     FiniteRng,
-    _blocks,
+    _additive_generators,
     _code,
     _digits,
     _positions,
     characteristic,
     closed_subset,
     direct_product,
+    from_structure,
     is_domain,
     is_reduced,
     nilpotent_mask,
@@ -52,7 +54,6 @@ from .rings import (
     zmod,
 )
 from .subobjects import (
-    FiniteModule,
     Ideal,
     Subrng,
     all_ideals,
@@ -62,7 +63,6 @@ from .subobjects import (
     is_radical,
     quotient_ring,
     subrng_as_ring,
-    validate_module,
 )
 
 
@@ -86,59 +86,43 @@ class DottedSum:
 def dotted_sum(base: FiniteRng, part: FiniteRng, action) -> DottedSum:
     """Build A dotted-plus R. `action` is the (|A|, |R|) scalar table a.x.
 
-    The action must make R a unital A-module whose own multiplication is
-    A-bilinear (a.(xy) = (a.x)y); without bilinearity the product fails to be
-    associative, so that precondition is checked up front.
+    The ring is `from_structure` over A + R, with generators S_A x 0 and
+    0 x S_R and the formula's products of them. Its biadditive product is
+    the formula's exactly when (a, 0)(0, x) = (0, a.x), since the other
+    terms are the products of A and of R. The ring axioms then make R a
+    unital A-module whose multiplication is A-bilinear, a.(xy) = (a.x)y,
+    which the kernel checks on S_A x S_R x S_R as part of associativity on
+    S^3. An action that breaks any of this raises IncompatibleStructures.
     """
     base.require_one()
-    m = part.order
+    m, n = part.order, base.order * part.order
     action = np.asarray(action, dtype=np.int64)
-    module = FiniteModule(
-        ring=base, order=m, add=part.add.astype(np.int64),
-        zero=part.zero, labels=part.labels, action=action,
-    )
-    report = validate_module(module)
-    if not report.ok:
-        raise IncompatibleStructures(f"action is not a module structure: {report}")
-    n = base.order * m
+    if action.shape != (base.order, m) or action.min(initial=0) < 0 or action.max(initial=0) >= m:
+        raise IncompatibleStructures("the action table must be |A| x |R| with entries in R")
     if n > config.size_guard():
         raise SizeGuardExceeded(f"order {n} exceeds size guard {config.size_guard()}")
-    qm = np.arange(m)
-    for a in range(base.order):
-        lhs = action[a][part.mul]
-        rhs = part.mul[action[a][:, None], qm[None, :]]
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise IncompatibleStructures(
-                "multiplication is not bilinear over the action at "
-                f"({base.labels[a]}, {part.labels[x]}, {part.labels[y]})"
-            )
-    aj = np.arange(n) // m
-    xj = np.arange(n) % m
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i0, i1 in _blocks(n):
-        ai, xi = aj[i0:i1], xj[i0:i1]
-        add[i0:i1] = base.add[ai[:, None], aj[None, :]].astype(np.int64) * m \
-            + part.add[xi[:, None], xj[None, :]]
-        cross = part.add[action[ai[:, None], xj[None, :]],
-                         action[aj[None, :], xi[:, None]]]
-        mul[i0:i1] = base.mul[ai[:, None], aj[None, :]].astype(np.int64) * m \
-            + part.add[cross, part.mul[xi[:, None], xj[None, :]]]
-    labels = [
-        f"({base.labels[a]},{part.labels[x]})"
-        for a in range(base.order)
-        for x in range(m)
-    ]
-    ring = FiniteRng(
-        add, mul, base.zero * m + part.zero, base.one * m + part.zero, labels,
-        provenance="dotted_sum", name=f"dsum({base.name},{part.name})",
-    )
+    # (a,x)(a',x') = (aa', a.x' + a'.x + xx') on the generators
+    sa, sr = base.additive_gens, part.additive_gens
+    ga = np.concatenate((sa, np.full(sr.size, base.zero)))
+    gx = np.concatenate((np.full(sa.size, part.zero), sr))
+    cross = part.add[action[ga[:, None], gx], action[ga, gx[:, None]]]
+    products = base.mul[ga[:, None], ga] * m + part.add[cross, part.mul[gx[:, None], gx]]
+    labels = [f"({a},{x})" for a in base.labels for x in part.labels]
+    try:
+        ring = from_structure([base, part], products, base.one * m + part.zero, labels,
+                              "dotted_sum", f"dsum({base.name},{part.name})")
+    except MalformedTable as exc:  # A and R are valid, so the action is at fault
+        raise IncompatibleStructures(f"action is no bilinear module structure: {exc}") from None
+    scaled = ring.mul[np.arange(base.order)[:, None] * m + part.zero, base.zero * m + np.arange(m)]
+    if not np.array_equal(scaled, base.zero * m + action):
+        raise IncompatibleStructures("action is not additive in both arguments")
+    # the coordinate maps, homs by the product formula
     embed_base = RingHom(base, ring, np.arange(base.order) * m + part.zero,
-                         unital=True, name="base_embedding")
+                         unital=True, name="base_embedding", check=False)
     embed_part = RingHom(part, ring, base.zero * m + np.arange(m),
-                         unital=False, name="part_embedding")
-    proj_base = RingHom(ring, base, aj, unital=True, name="base_projection")
+                         unital=False, name="part_embedding", check=False)
+    proj_base = RingHom(ring, base, np.arange(n) // m, unital=True, name="base_projection",
+                        check=False)
     return DottedSum(ring, base, part, action, embed_base, embed_part, proj_base)
 
 
@@ -318,7 +302,8 @@ def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
       f(a)+j = 0 means j = -f(a);
     - (a, j) -> (a, f(a)+j) is a bijective hom from A dotted-plus J (with
       a.j = f(a)j), because f(aa') + f(a)j' + f(a')j + jj' is
-      (f(a)+j)(f(a')+j').
+      (f(a)+j)(f(a')+j'). It is additive, so the images (s, f(s)) of S_A
+      and (0, t) of S_J generate the amalgam additively.
     """
     A, B = f.domain, f.codomain
     if J.ring != B:
@@ -336,13 +321,19 @@ def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
          cols.ravel().astype(np.int64)],
         axis=1,
     )
-    ring, _ = pair_subring(
-        A, B, pairs, "amalgam", name or f"amalg({f.name},{J.size})"
-    )
     # the graph row a sits at a*|J| + (rank of f(a) among f(a)+J)
     rank = np.argmax(cols == f.map[:, None], axis=1)
-    embed = RingHom(A, ring, np.arange(A.order) * J.size + rank,
-                    unital=True, name="graph_embedding", check=False)
+    graph = np.arange(A.order) * J.size + rank
+    # additive generators: the graph of S_A, and {0} x S_J at row 0 of the
+    # pairs, S_J greedy on (J, +)
+    idx = J.indices
+    s_j = _additive_generators(np.searchsorted(idx, B.add[np.ix_(idx, idx)]),
+                               int(np.searchsorted(idx, B.zero)))
+    ring, _ = pair_subring(
+        A, B, pairs, "amalgam", name or f"amalg({f.name},{J.size})",
+        additive_gens=np.concatenate((graph[A.additive_gens], A.zero * J.size + s_j)),
+    )
+    embed = RingHom(A, ring, graph, unital=True, name="graph_embedding", check=False)
     proj_base = RingHom(ring, A, pairs[:, 0], unital=True, name="proj_base",
                         check=False)
     proj_target = RingHom(ring, B, pairs[:, 1], unital=True, name="proj_target",

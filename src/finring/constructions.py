@@ -97,7 +97,8 @@ def nagata_idealization(base: FiniteRng, module: FiniteModule,
     ds = dotted_sum(base, part, module.action)
     ring = FiniteRng(ds.ring.add, ds.ring.mul, ds.ring.zero, ds.ring.one,
                      ds.ring.labels, provenance="idealization",
-                     name=name or f"idealization({base.name})", check=False)
+                     name=name or f"idealization({base.name})", check=False,
+                     additive_gens=ds.ring.additive_gens)
     embed_base = RingHom(base, ring, ds.embed_base.map, unital=True,
                          name="base_embedding", check=False)
     embed_module = RingHom(part, ring, ds.embed_part.map, unital=False,

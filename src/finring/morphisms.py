@@ -257,18 +257,22 @@ def complete_hom(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], assignments,
     program = A._programs[seeds]
     if program is None:
         return [None] * len(assignments)
-    vals = np.array([[B.zero, B.one][:1 + unital] + list(row) for row in assignments]).T
-    maps = np.empty((A.order, vals.shape[1]), dtype=np.int64)  # one map per column
+    rows = [[B.zero, B.one][:1 + unital] + list(row) for row in assignments]
+    # one map per column; one row, as in every forced map, replays on 1-D arrays
+    vals = np.array(rows[0] if len(rows) == 1 else rows).T
+    maps = np.empty((A.order, *vals.shape[1:]), dtype=np.int64)
     maps[keys] = vals
     ok = (maps[keys] == vals).all(axis=0)  # a seed asked for two images keeps one
     tables = (B.add, B.mul)
     for op, z, x, y in program:
         maps[z] = tables[op][maps[x], maps[y]]
-    columns = A._generator_columns or (None, None)  # no S: the full scan
-    for table_a, table_b, cols in zip((A.add, A.mul), tables, columns):
-        ok &= ([_first_miss(m, table_a, table_b) is None for m in maps.T] if cols is None
+    columns = maps.reshape(A.order, -1).T
+    for table_a, table_b, cols in zip((A.add, A.mul), tables,
+                                      A._generator_columns or (None, None)):
+        ok &= (np.array([_first_miss(m, table_a, table_b) is None for m in columns])
+               if cols is None  # no S: the full scan
                else _respects(maps, cols, table_b, A.additive_gens))
-    return [m if good else None for m, good in zip(maps.T, ok)]
+    return [m if good else None for m, good in zip(columns, np.atleast_1d(ok))]
 
 
 # -- invariants used to prune searches ----------------------------------------------

@@ -6,11 +6,18 @@ identity (None for rngs without one), and one display label per element.
 Instances are immutable. Equality is structural: same tables, same zero/one,
 same labels. `name` and `provenance` are descriptive and never compared.
 
-An object that exists is an object whose axioms hold: every constructor
-either machine-checks its output (`validate_rng`) or builds it from rings
-that were checked, in a way that provably keeps every axiom (products and
-closed subsets here, quotients in `subobjects`), and says why in its
-docstring.
+An object that exists is an object whose axioms hold. Every constructor
+establishes them in one of three ways, and says which in its docstring:
+it machine-checks the tables (`validate_rng`, for raw tables and
+localizations); it decides them from an additive generating set S and the
+products of its members, the structure constants, in O(|S|^3) cells
+(`from_structure`, under zmod, galois_field, trunc_poly and dotted sums);
+or it builds the ring from valid rings in a way that provably keeps every
+axiom (products and closed subsets here, quotients in `subobjects`).
+
+Each ring carries an additive generating set S (`FiniteRng.additive_gens`)
+for the deciders that work on generators: the constructor's own where it
+knows one, else a greedy one computed on first use.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ class FiniteRng:
         provenance: str = "table",
         name: str | None = None,
         check: bool = True,
+        additive_gens=None,
     ):
         add = np.ascontiguousarray(np.asarray(add, dtype=_TABLE_DTYPE))
         mul = np.ascontiguousarray(np.asarray(mul, dtype=_TABLE_DTYPE))
@@ -121,6 +129,11 @@ class FiniteRng:
         self._quotients: dict[bytes, tuple] = {}
         self._label_pos: dict[str, int] | None = None
         self._hash: int | None = None
+        if additive_gens is not None:  # seeds the cached property
+            gens = self.__dict__["additive_gens"] = np.array(additive_gens, dtype=np.int64).ravel()
+            if ((gens < 0) | (gens >= n)).any():
+                raise MalformedTable("additive generator out of range")
+            gens.setflags(write=False)
         if check:
             report = validate_rng(self)
             if not report.ok:
@@ -193,8 +206,10 @@ class FiniteRng:
 
     @cached_property
     def additive_gens(self) -> np.ndarray | None:
-        """The greedy additive generating set S of `_additive_generators`
-        (None when + is no abelian group), computed once per ring."""
+        """An additive generating set S: carried by the constructor, else
+        greedy (`_additive_generators`, computed once per ring; None when +
+        is no abelian group). Every decider that reads S reaches the same
+        verdict and witness from any generating set."""
         gens = _additive_generators(self.add, self.zero)
         if gens is not None:
             gens.setflags(write=False)
@@ -310,9 +325,11 @@ def _light(table: np.ndarray, gens: np.ndarray) -> bool:
     """Light's associativity test: (x g) y = x (g y) for every generator g
     and all x, y. The g that pass form a set closed under the operation, so
     passing on a generating set proves associativity everywhere. Rows x go
-    by `_blocks`, so one block of each side is in memory at a time."""
+    by `_blocks`, so one block of each side is in memory at a time; columns
+    are gathered by `np.take`, several times faster than fancy indexing
+    along the last axis."""
     return all(
-        np.array_equal(table[table[i0:i1, g]], table[i0:i1, table[g]])
+        np.array_equal(table[table[i0:i1, g]], np.take(table[i0:i1], table[g], axis=1))
         for g in gens for i0, i1 in _blocks(table.shape[0])
     )
 
@@ -321,9 +338,12 @@ def _distributes(add: np.ndarray, mul: np.ndarray, gens: np.ndarray) -> bool:
     """a(x + s) = ax + as for every row a of `mul`, every x and every s in
     gens. With + associative and commutative, the s that pass are closed
     under +, so passing on an additive generating set proves a(x + y) = ax + ay
-    for all y. Rows a go by `_blocks`, as in `_light`."""
+    for all y. Rows a go by `_blocks`, as in `_light`. Since + commutes,
+    ax + as is read as (as) + (ax), so that each row of the gather stays
+    inside one row of `add`."""
     return all(
-        np.array_equal(mul[i0:i1, add[:, s]], add[mul[i0:i1], mul[i0:i1, s, None]])
+        np.array_equal(np.take(mul[i0:i1], add[:, s], axis=1),
+                       add[mul[i0:i1, s, None], mul[i0:i1]])
         for s in gens for i0, i1 in _blocks(mul.shape[0])
     )
 
@@ -473,35 +493,156 @@ def from_tables(
 
 def rename(ring: FiniteRng, name: str) -> FiniteRng:
     """Same ring, different display name (structural equality is unaffected)."""
-    out = FiniteRng(
-        ring.add, ring.mul, ring.zero, ring.one, ring.labels,
-        provenance=ring.provenance, name=name, check=False,
+    return FiniteRng(
+        ring.add, ring.mul, ring.zero, ring.one, ring.labels, provenance=ring.provenance,
+        name=name, check=False, additive_gens=ring.additive_gens,
     )
-    return out
+
+
+def _cyclic(d: int) -> np.ndarray:
+    """The addition table of Z/d, (i + j) mod d."""
+    table = np.add.outer(*[np.arange(d, dtype=_TABLE_DTYPE)] * 2)
+    table[table >= d] -= d
+    return table
+
+
+def _embedded_gens(dims: Sequence[int], zeros: Sequence[int], gens) -> tuple[int, np.ndarray]:
+    """The zero of a direct sum, as the mixed-radix code of the factors'
+    zeros, and its generators: each factor's `gens` in its own digit, the
+    other digits at their zeros."""
+    zero, weight, out = int(_code(zeros, dims)), math.prod(dims), []
+    for dim, fzero, fgens in zip(dims, zeros, gens):
+        weight //= dim
+        out += [zero + (int(g) - fzero) * weight for g in fgens]
+    return zero, np.array(out, dtype=np.int64)
+
+
+def _walk(add: np.ndarray, zero: int, gens: np.ndarray) -> tuple[list, np.ndarray | None]:
+    """A walk over (R, +) from zero: steps (j, count, take), each adding t,
+    the next doubling g, 2g, 4g, ... of generator j, to the `take` part of
+    the first `count` elements reached, and the order reached (None when it
+    is element order). The doublings of g stop past the first 2^i >= its
+    order, so one pass over them takes the reached set to R + <g>."""
+    n = add.shape[0]
+    order, reached, steps, count = np.full(n, zero), np.arange(n) == zero, [], 1
+    for j in reversed(range(gens.size)):  # the last digit first, so Z/d is in order
+        g, taken = int(gens[j]), []
+        while count < n and g != zero and g not in taken:
+            taken.append(g)
+            dst = add[order[:count], g]
+            fresh = ~reached[dst]
+            new = dst[fresh]
+            steps.append((j, count, slice(new.size) if fresh[:new.size].all() else fresh))
+            order[count:count + new.size] = new
+            reached[new] = True
+            count += new.size
+            g = int(add[g, g])
+    if count < n:
+        raise InvariantViolated("an additive generating set does not generate its group")
+    return steps, None if (order == np.arange(n)).all() else order
+
+
+def _span(add: np.ndarray, walk, gen_cols: np.ndarray, zero: int) -> np.ndarray:
+    """Column x, for every x, of a map additive in x, from its columns at
+    the generators, along `walk`: col(x + t) = col(t) + col(x). Reached
+    columns are contiguous, so each step is one slice gather, and col(t)
+    is fixed along each row of it, which keeps the gather in one row of
+    `add`."""
+    steps, order = walk
+    vals = np.empty((gen_cols.shape[0], add.shape[0]), dtype=_TABLE_DTYPE)
+    vals[:, 0] = zero
+    last = None
+    for j, count, take in steps:
+        col, last = (gen_cols[:, j] if j != last else add[col, col]), j
+        src = vals[:, :count][:, take]
+        vals[:, count:count + src.shape[1]] = add[col[:, None], src]
+    if order is not None:
+        vals[:, order] = vals.copy()
+    return vals
+
+
+def from_structure(factors: Sequence[int | FiniteRng], products, one: int | None,
+                   labels: Sequence[str], provenance: str, name: str) -> FiniteRng:
+    """The rng on the direct sum of the additive groups `factors` (an int d
+    for Z/d generated by 1, a ring for its group generated by its
+    `additive_gens`) whose product extends the structure constants
+    `products` biadditively. Elements are mixed-radix codes over the factor
+    orders, first factor most significant, as in `closed_subset`; the
+    generators S are each factor's in its own digit, the others at zero,
+    and products[i][j] is the code of s_i s_j.
+
+    The rows s_j x follow from s_j(x + s_i) = s_j x + s_j s_i, and then
+    every row from row(x + t) = row(x) + row(t), along one `_walk`: n^2
+    cells in all. The axioms are decided on S, raising MalformedTable with
+    the axiom `validate_rng` would name (the structure-constant argument):
+    - "distributive": each x -> s_j x is additive iff s_j(x + s_i) =
+      s_j x + s_j s_i for all x and i, since the y that pass for all x are
+      closed under +. On a cyclic basis (s_i of order d_i) this is
+      d_i (s_i s_j) = 0, and with commutativity d_j (s_i s_j) = 0, which
+      makes the fill in the left argument well defined too;
+    - "mul_commutative" on S^2, as xy - yx is biadditive;
+    - "mul_associative" on S^3, as the associator is additive in each
+      argument;
+    - "one_neutral" on S, as x -> 1x - x is additive.
+    A biadditive product satisfies both distributive laws, so the ring is
+    valid without a scan of its tables.
+    """
+    dims = [f if isinstance(f, int) else f.order for f in factors]
+    n = math.prod(dims)
+    if n > config.size_guard():
+        raise SizeGuardExceeded(f"order {n} exceeds size guard {config.size_guard()}")
+    groups = [(_cyclic(f), 0, np.array([1 % f])) if isinstance(f, int)
+              else (f.add, f.zero, f.additive_gens) for f in factors]
+    zero, gens = _embedded_gens(dims, [z for _, z, _ in groups], [g for _, _, g in groups])
+    add = groups[-1][0]
+    for table, _, _ in reversed(groups[:-1]):  # digit by digit, the last first
+        k, w = table.shape[0], add.shape[0]
+        add = (table[:, None, :, None] * w + add[None, :, None, :]).reshape(k * w, k * w)
+    c = np.asarray(products, dtype=np.int64).reshape(-1, gens.size)
+    if c.shape != (gens.size, gens.size) or c.min(initial=0) < 0 or c.max(initial=0) >= n:
+        raise MalformedTable("structure constants must be an |S| x |S| array of codes")
+    c = c.astype(_TABLE_DTYPE)
+
+    def fail(axiom: str, *w) -> None:
+        violation = Violation(axiom, tuple(labels[int(i)] for i in w))
+        raise MalformedTable(str(ValidationReport(name, (violation,))))
+
+    walk = _walk(add, zero, gens)
+    rows = _span(add, walk, c, zero)  # rows[j, x] = s_j x
+    bad = rows[:, add[:, gens]] != add[rows[:, :, None], c[:, None, :]]  # [j, x, i]
+    if bad.any():
+        j, x, i = np.argwhere(bad)[0]
+        fail("distributive", gens[j], x, gens[i])
+    if not np.array_equal(c, c.T):
+        fail("mul_commutative", *gens[np.argwhere(c != c.T)[0]])
+    k = np.arange(gens.size)
+    bad = rows[k, c[:, :, None]] != rows[k[:, None, None], c[None]]  # [i, j, k]
+    if bad.any():
+        fail("mul_associative", *gens[np.argwhere(bad)[0]])
+    if one is not None and not np.array_equal(rows[:, one], gens):
+        fail("one_neutral", gens[np.argwhere(rows[:, one] != gens)[0][0]])
+    # column x of the span is row x of mul, and mul is commutative
+    mul = _span(add, walk, np.ascontiguousarray(rows.T), zero)
+    return FiniteRng(add, mul, zero, one, labels, provenance=provenance, name=name,
+                     check=False, additive_gens=gens)
 
 
 def zmod(n: int) -> FiniteRng:
-    """The ring of integers modulo n, elements labeled by their residues."""
+    """The ring of integers modulo n, elements labeled by their residues:
+    Z/n generated by 1, with 1 * 1 = 1 (`from_structure`)."""
     if n < 1:
         raise InvalidParameter("zmod needs n >= 1")
     if n > config.size_guard():
         raise SizeGuardExceeded(f"order {n} exceeds size guard {config.size_guard()}")
-    # filled block by block: a block of int64 keeps r*r exact at any guard
-    r = np.arange(n, dtype=np.int64)
-    add = np.empty((n, n), dtype=_TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-    for i0, i1 in _blocks(n):
-        add[i0:i1] = (r[i0:i1, None] + r) % n
-        mul[i0:i1] = (r[i0:i1, None] * r) % n
     one = 0 if n == 1 else 1
-    labels = [str(i) for i in range(n)]
-    return FiniteRng(add, mul, 0, one, labels, provenance="zmod", name=f"zmod({n})")
+    return from_structure([n], [[one]], one, [str(i) for i in range(n)], "zmod", f"zmod({n})")
 
 
 def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> FiniteRng:
     """Componentwise product. Element order is lexicographic in the factor
     indices with the first factor most significant; labels are "(a,b,...)".
-    It is the `closed_subset` that holds every code."""
+    It is the `closed_subset` that holds every code, and its additive
+    generators are the factors', each in its own coordinate."""
     factors = list(factors)
     if not factors:
         raise InvalidParameter("direct_product needs at least one factor")
@@ -510,7 +651,9 @@ def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> Fin
         raise SizeGuardExceeded(f"product order exceeds size guard {config.size_guard()}")
     if name is None:
         name = "product(" + ",".join(f.name for f in factors) + ")"
-    return closed_subset(factors, np.arange(order), "product", name)
+    _, gens = _embedded_gens([f.order for f in factors], [f.zero for f in factors],
+                             [f.additive_gens for f in factors])
+    return closed_subset(factors, np.arange(order), "product", name, additive_gens=gens)
 
 
 def _monomials(num_vars: int, max_deg: int) -> list[tuple[int, ...]]:
@@ -536,7 +679,12 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
     monomial of total degree above max_deg is zero. Elements are coefficient
     assignments over the degree-sorted monomial list; the element index is the
     mixed-radix number of its coefficient indices (first monomial most
-    significant), which makes the ordering reproducible."""
+    significant), which makes the ordering reproducible.
+
+    The ring is `from_structure` over m copies of the base's additive group,
+    one per monomial, with basis g X^e for g in the base's S and structure
+    constants g X^e * h X^f = gh X^(e+f), zero when e + f has degree above
+    max_deg."""
     if num_vars < 1 or max_deg < 0:
         raise InvalidParameter("trunc_poly needs num_vars >= 1 and max_deg >= 0")
     # num_vars and max_deg are refused before math.comb, whose cost grows
@@ -559,56 +707,34 @@ def trunc_poly(base: FiniteRng, num_vars: int, max_deg: int) -> FiniteRng:
         return FiniteRng([[0]], [[0]], 0, base.one, base.labels, provenance="trunc_poly",
                          name=name)
     monos = _monomials(num_vars, max_deg)
-    order = base.order**m
-    dims = (base.order,) * m
-    digits = _digits(np.arange(order), dims)
     slot = {e: t for t, e in enumerate(monos)}
-    prod_slot: list[list[int | None]] = [
-        [
-            slot.get(tuple(a + b for a, b in zip(e1, e2)))
-            if sum(e1) + sum(e2) <= max_deg
-            else None
-            for e2 in monos
-        ]
-        for e1 in monos
+    order = base.order**m
+    weights = [base.order ** (m - 1 - t) for t in range(m)]
+    zero = base.zero * sum(weights)
+    # the basis g X^e (g in the base's S), and g X^e * h X^f = gh X^(e+f)
+    basis = [(e, g) for e in monos for g in base.additive_gens.tolist()]
+    products = [
+        [zero + (int(base.mul[g, h]) - base.zero) * weights[slot[ef]]
+         if (ef := tuple(map(sum, zip(e, f)))) in slot else zero for f, h in basis]
+        for e, g in basis
     ]
-    add = np.empty((order, order), dtype=_TABLE_DTYPE)
-    mul = np.empty((order, order), dtype=_TABLE_DTYPE)
-    for i0, i1 in _blocks(order):
-        add[i0:i1] = _code((base.add[d[i0:i1, None], d] for d in digits), dims, _TABLE_DTYPE)
-        res = [np.full((i1 - i0, order), base.zero, dtype=_TABLE_DTYPE) for _ in range(m)]
-        for s in range(m):
-            for t in range(m):
-                p = prod_slot[s][t]
-                if p is None:
-                    continue
-                term = base.mul[digits[s][i0:i1, None], digits[t][None, :]]
-                res[p] = base.add[res[p], term]
-        mul[i0:i1] = _code(res, dims, _TABLE_DTYPE)
-    zero = int(_code([base.zero] * m, dims))
-    one = None
-    if base.has_one:
-        one = int(_code([base.one] + [base.zero] * (m - 1), dims))
-    labels = []
-    col = np.stack(digits, axis=1)
-    for i in range(order):
-        terms = []
-        for t in range(m):
-            c = int(col[i, t])
-            if c == base.zero:
-                continue
-            mono = _mono_str(monos[t], num_vars)
-            if not mono:
-                terms.append(base.labels[c])
-            elif base.has_one and c == base.one:
-                terms.append(mono)
-            else:
-                coeff = base.labels[c]
-                if "+" in coeff or "-" in coeff:
-                    coeff = f"({coeff})"
-                terms.append(coeff + mono)
-        labels.append("+".join(terms) if terms else base.labels[base.zero])
-    return FiniteRng(add, mul, zero, one, labels, provenance="trunc_poly", name=name)
+    one = zero + (base.one - base.zero) * weights[0] if base.has_one else None
+
+    def term(t: int, c: int) -> str:
+        mono = _mono_str(monos[t], num_vars)
+        if not mono:
+            return base.labels[c]
+        if base.has_one and c == base.one:
+            return mono
+        coeff = base.labels[c]
+        return (f"({coeff})" if "+" in coeff or "-" in coeff else coeff) + mono
+
+    terms = [["" if c == base.zero else term(t, c) for c in range(base.order)]
+             for t in range(m)]
+    digits = np.stack(_digits(np.arange(order), (base.order,) * m), axis=1).tolist()
+    labels = ["+".join(filter(None, map(list.__getitem__, terms, row))) or base.labels[base.zero]
+              for row in digits]
+    return from_structure([base] * m, products, one, labels, "trunc_poly", name)
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -640,7 +766,9 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
 def galois_field(q: int) -> FiniteRng:
     """The finite field with q elements, q a prime power. For q = p^k with
     k > 1 the field is F_p[w]/(m(w)) for the lexicographically first monic
-    irreducible m of degree k, so the construction is reproducible."""
+    irreducible m of degree k, so the construction is reproducible: the
+    `from_structure` over (Z/p)^k with basis 1, w, ..., w^(k-1) and
+    structure constants w^a w^b = w^(a+b) reduced mod m."""
     if q < 2:
         raise InvalidParameter("galois_field needs a prime power >= 2")
     if q > config.size_guard():  # before the trial division, which takes q steps
@@ -654,54 +782,27 @@ def galois_field(q: int) -> FiniteRng:
         raise InvalidParameter(f"{q} is not a prime power")
     if k == 1:
         return rename(zmod(p), f"gf({q})")
-    irr = None
-    for low in itertools.product(range(p), repeat=k):
-        cand = list(low) + [1]
-        if _is_irreducible(cand, p):
-            irr = cand
-            break
+    irr = next((m for low in itertools.product(range(p), repeat=k)
+                if _is_irreducible(m := list(low) + [1], p)), None)
     if irr is None:
         raise InvariantViolated(f"no monic irreducible of degree {k} over F_{p}")
-    # reduction of w^d for d up to 2k-2, little-endian over F_p
-    red = np.zeros((2 * k - 1, k), dtype=np.int64)
-    for d in range(k):
-        red[d, d] = 1
-    for d in range(k, 2 * k - 1):
-        prev = red[d - 1]
-        shifted = np.zeros(k + 1, dtype=np.int64)
-        shifted[1:] = prev
-        top = shifted[k] % p
-        shifted = shifted[:k] - top * np.array(irr[:k], dtype=np.int64)
-        red[d] = shifted % p
-    # element digits, little-endian: index = sum c_i p^i
+    # w^d reduced mod irr for d up to 2k-2, little-endian over F_p
+    red = np.array([(_poly_divmod([0] * d + [1], irr, p)[1] + [0] * k)[:k]
+                    for d in range(2 * k - 1)])
+    # element index sum c_i p^i: the digit of w^(k-1) is the most
+    # significant, so the basis in code order is w^(k-1), ..., w, 1
     powers = p ** np.arange(k, dtype=np.int64)
-    E = (np.arange(q)[:, None] // powers[None, :]) % p
-    add = np.empty((q, q), dtype=_TABLE_DTYPE)
-    mul = np.empty((q, q), dtype=_TABLE_DTYPE)
-    for i0, i1 in _blocks(q, 1 << 19):
-        add[i0:i1] = ((E[i0:i1, None, :] + E[None, :, :]) % p) @ powers
-        conv = np.zeros((i1 - i0, q, 2 * k - 1), dtype=np.int64)
-        for s in range(k):
-            for t2 in range(k):
-                conv[:, :, s + t2] += E[i0:i1, s][:, None] * E[:, t2][None, :]
-        final = np.tensordot(conv, red, axes=([2], [0])) % p
-        mul[i0:i1] = final @ powers
-    labels = []
-    for i in range(q):
-        terms = []
-        for d in range(k):
-            c = int(E[i, d])
-            if c == 0:
-                continue
-            mono = "" if d == 0 else ("w" if d == 1 else f"w^{d}")
-            if not mono:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(mono)
-            else:
-                terms.append(f"{c}{mono}")
-        labels.append("+".join(terms) if terms else "0")
-    return FiniteRng(add, mul, 0, 1, labels, provenance="table", name=f"gf({q})")
+    deg = np.arange(k - 1, -1, -1)
+    products = red[deg[:, None] + deg[None, :]] @ powers
+
+    def term(d: int, c: int) -> str:
+        mono = "w" if d == 1 else f"w^{d}"
+        return str(c) if d == 0 else mono if c == 1 else f"{c}{mono}"
+
+    terms = [["" if c == 0 else term(d, c) for c in range(p)] for d in range(k)]
+    digits = ((np.arange(q)[:, None] // powers[None, :]) % p).tolist()  # little-endian
+    labels = ["+".join(filter(None, map(list.__getitem__, terms, row))) or "0" for row in digits]
+    return from_structure([p] * k, products, 1, labels, "table", f"gf({q})")
 
 
 # -- whole-ring predicates ------------------------------------------------------
@@ -793,7 +894,8 @@ def _positions(members: np.ndarray, codes):
 
 
 def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subring",
-                  name: str | None = None, labels: Sequence[str] | None = None) -> FiniteRng:
+                  name: str | None = None, labels: Sequence[str] | None = None,
+                  additive_gens=None) -> FiniteRng:
     """The elements of the product of `factors` with the given mixed-radix
     codes (first factor most significant, as in `direct_product`), as a
     standalone rng in code order. `codes` must be strictly increasing.
@@ -807,7 +909,8 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     to hold 0 and to be closed under + and *; a closed subset of a valid rng
     meets every axiom that quantifies over all elements, and a finite subset
     closed under + is a subgroup (x, 2x, 3x, ... returns to 0), so it holds
-    the negatives too."""
+    the negatives too. `additive_gens`, positions in the subset, is the
+    caller's generating set of it, when it knows one."""
     factors = list(factors)
     dims = [f.order for f in factors]
     size = math.prod(dims)
@@ -845,13 +948,11 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     has_one = all(f.has_one for f in factors)
     one = int(position(_code([f.one for f in factors], dims))) if has_one else -1
     if labels is None:
-        labels = [
-            "(" + ",".join(f.labels[i] for f, i in zip(factors, row)) + ")"
-            for row in zip(*(d.tolist() for d in digits))
-        ]
+        coords = [list(map(f.labels.__getitem__, d.tolist())) for f, d in zip(factors, digits)]
+        labels = ["(" + ",".join(row) + ")" for row in zip(*coords)]
     return FiniteRng(
         add, mul, zero, one if one >= 0 else _detect_one(add, mul), labels,
-        provenance=provenance, check=False,
+        provenance=provenance, check=False, additive_gens=additive_gens,
         name=name or "sub(" + ",".join(f.name for f in factors) + f",{m})",
     )
 
@@ -874,11 +975,12 @@ def pair_subring(
     pairs: np.ndarray,
     provenance: str,
     name: str,
+    additive_gens=None,
 ) -> tuple[FiniteRng, np.ndarray]:
     """The `closed_subset` of left x right given by an (m, 2) array of index
     pairs, without materializing the full product. Pairs are deduplicated
     and sorted lexicographically; labels are "(a,b)". Returns the ring and
-    the sorted (m, 2) pair array."""
+    the sorted (m, 2) pair array; `additive_gens` are positions in it."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if arr.size == 0:
         raise InvalidParameter("pair set must be nonempty")
@@ -886,5 +988,5 @@ def pair_subring(
         raise InvalidParameter("pair index out of range")
     # a*|right| + b orders pairs lexicographically, so np.unique sorts them
     codes = np.unique(arr[:, 0] * right.order + arr[:, 1])
-    ring = closed_subset([left, right], codes, provenance, name)
+    ring = closed_subset([left, right], codes, provenance, name, additive_gens=additive_gens)
     return ring, np.stack(np.divmod(codes, right.order), axis=1)

@@ -318,7 +318,8 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     `ideal_from_members`, so the class map is a congruence and the quotient
     is the image of a valid ring under a surjective hom, where every axiom
     holds. The projection is validated, on the additive generators of
-    `ring`, as a hom onto the quotient's tables.
+    `ring`, as a hom onto the quotient's tables, and their classes generate
+    the quotient additively.
     """
     from .morphisms import RingHom
 
@@ -334,6 +335,7 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
         quotient = FiniteRng(
             add, mul, zero, one, labels,
             provenance="quotient", name=f"quot({ring.name},{I.size})", check=False,
+            additive_gens=class_of[ring.additive_gens],
         )
         proj = RingHom(ring, quotient, class_of, unital=ring.has_one)
         ring._quotients[key] = (quotient, proj)

@@ -464,3 +464,200 @@ def tokenize(text: str) -> list[tuple[str, str, int, int]]:
         raise ScriptSyntaxError(f"unexpected character {ch!r}", line, start_col)
     tokens.append(("EOF", "", line, col))
     return tokens
+
+
+# -- reference table builders ------------------------------------------------------
+#
+# The constructors of zmod, galois_field, trunc_poly and dotted_sum as they
+# were before `rings.from_structure` replaced them: each computes its tables
+# from its own formula, block by block. They return unvalidated rings whose
+# add, mul, zero, one, labels and name the kernel must reproduce.
+
+
+def _ref_ring(add, mul, zero, one, labels, name):
+    from finring.rings import FiniteRng
+
+    return FiniteRng(add, mul, zero, one, labels, name=name, check=False)
+
+
+def zmod_tables(n: int):
+    import numpy as np
+    from finring.rings import _TABLE_DTYPE, _blocks
+
+    r = np.arange(n, dtype=np.int64)
+    add = np.empty((n, n), dtype=_TABLE_DTYPE)
+    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
+    for i0, i1 in _blocks(n):
+        add[i0:i1] = (r[i0:i1, None] + r) % n
+        mul[i0:i1] = (r[i0:i1, None] * r) % n
+    one = 0 if n == 1 else 1
+    return _ref_ring(add, mul, 0, one, [str(i) for i in range(n)], f"zmod({n})")
+
+
+def galois_field_tables(q: int):
+    import itertools
+
+    import numpy as np
+    from finring.rings import _TABLE_DTYPE, _blocks, _is_irreducible
+
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k, t = 0, q
+    while t % p == 0:
+        t //= p
+        k += 1
+    if k == 1:
+        ring = zmod_tables(p)
+        return _ref_ring(ring.add, ring.mul, ring.zero, ring.one, ring.labels, f"gf({q})")
+    irr = next(list(low) + [1] for low in itertools.product(range(p), repeat=k)
+               if _is_irreducible(list(low) + [1], p))
+    red = np.zeros((2 * k - 1, k), dtype=np.int64)
+    for d in range(k):
+        red[d, d] = 1
+    for d in range(k, 2 * k - 1):
+        shifted = np.zeros(k + 1, dtype=np.int64)
+        shifted[1:] = red[d - 1]
+        top = shifted[k] % p
+        red[d] = (shifted[:k] - top * np.array(irr[:k], dtype=np.int64)) % p
+    powers = p ** np.arange(k, dtype=np.int64)
+    E = (np.arange(q)[:, None] // powers[None, :]) % p
+    add = np.empty((q, q), dtype=_TABLE_DTYPE)
+    mul = np.empty((q, q), dtype=_TABLE_DTYPE)
+    for i0, i1 in _blocks(q, 1 << 19):
+        add[i0:i1] = ((E[i0:i1, None, :] + E[None, :, :]) % p) @ powers
+        conv = np.zeros((i1 - i0, q, 2 * k - 1), dtype=np.int64)
+        for s in range(k):
+            for t2 in range(k):
+                conv[:, :, s + t2] += E[i0:i1, s][:, None] * E[:, t2][None, :]
+        mul[i0:i1] = (np.tensordot(conv, red, axes=([2], [0])) % p) @ powers
+    labels = []
+    for i in range(q):
+        terms = []
+        for d in range(k):
+            c = int(E[i, d])
+            if c == 0:
+                continue
+            mono = "" if d == 0 else ("w" if d == 1 else f"w^{d}")
+            terms.append(str(c) if not mono else mono if c == 1 else f"{c}{mono}")
+        labels.append("+".join(terms) if terms else "0")
+    return _ref_ring(add, mul, 0, 1, labels, f"gf({q})")
+
+
+def trunc_poly_tables(base, num_vars: int, max_deg: int):
+    import math
+
+    import numpy as np
+    from finring.rings import _TABLE_DTYPE, _blocks, _code, _digits, _mono_str, _monomials
+
+    m = math.comb(num_vars + max_deg, num_vars)
+    name = f"pol({base.name},{num_vars},{max_deg})"
+    monos = _monomials(num_vars, max_deg)
+    order = base.order**m
+    dims = (base.order,) * m
+    digits = _digits(np.arange(order), dims)
+    slot = {e: t for t, e in enumerate(monos)}
+    prod_slot = [
+        [slot.get(tuple(a + b for a, b in zip(e1, e2))) if sum(e1) + sum(e2) <= max_deg
+         else None for e2 in monos]
+        for e1 in monos
+    ]
+    add = np.empty((order, order), dtype=_TABLE_DTYPE)
+    mul = np.empty((order, order), dtype=_TABLE_DTYPE)
+    for i0, i1 in _blocks(order):
+        add[i0:i1] = _code((base.add[d[i0:i1, None], d] for d in digits), dims, _TABLE_DTYPE)
+        res = [np.full((i1 - i0, order), base.zero, dtype=_TABLE_DTYPE) for _ in range(m)]
+        for s in range(m):
+            for t in range(m):
+                p = prod_slot[s][t]
+                if p is None:
+                    continue
+                term = base.mul[digits[s][i0:i1, None], digits[t][None, :]]
+                res[p] = base.add[res[p], term]
+        mul[i0:i1] = _code(res, dims, _TABLE_DTYPE)
+    zero = int(_code([base.zero] * m, dims))
+    one = int(_code([base.one] + [base.zero] * (m - 1), dims)) if base.has_one else None
+    labels = []
+    col = np.stack(digits, axis=1)
+    for i in range(order):
+        terms = []
+        for t in range(m):
+            c = int(col[i, t])
+            if c == base.zero:
+                continue
+            mono = _mono_str(monos[t], num_vars)
+            if not mono:
+                terms.append(base.labels[c])
+            elif base.has_one and c == base.one:
+                terms.append(mono)
+            else:
+                coeff = base.labels[c]
+                if "+" in coeff or "-" in coeff:
+                    coeff = f"({coeff})"
+                terms.append(coeff + mono)
+        labels.append("+".join(terms) if terms else base.labels[base.zero])
+    return _ref_ring(add, mul, zero, one, labels, name)
+
+
+def dotted_sum_tables(base, part, action):
+    """A dotted-plus R with (a,x)(a',x') = (aa', a.x' + a'.x + xx')."""
+    import numpy as np
+    from finring.rings import _blocks
+
+    m = part.order
+    action = np.asarray(action, dtype=np.int64)
+    n = base.order * m
+    aj = np.arange(n) // m
+    xj = np.arange(n) % m
+    add = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
+    for i0, i1 in _blocks(n):
+        ai, xi = aj[i0:i1], xj[i0:i1]
+        add[i0:i1] = base.add[ai[:, None], aj[None, :]].astype(np.int64) * m \
+            + part.add[xi[:, None], xj[None, :]]
+        cross = part.add[action[ai[:, None], xj[None, :]],
+                         action[aj[None, :], xi[:, None]]]
+        mul[i0:i1] = base.mul[ai[:, None], aj[None, :]].astype(np.int64) * m \
+            + part.add[cross, part.mul[xi[:, None], xj[None, :]]]
+    labels = [f"({base.labels[a]},{part.labels[x]})" for a in range(base.order)
+              for x in range(m)]
+    return _ref_ring(add, mul, base.zero * m + part.zero, base.one * m + part.zero, labels,
+                     f"dsum({base.name},{part.name})")
+
+
+def structure_tables(dims, products, one):
+    """The tables of the product x y = sum_ij x_i y_j (s_i s_j) on the
+    direct sum of Z/d over `dims` (elements are mixed-radix digit tuples,
+    first digit most significant, s_i the i-th unit digit tuple), computed
+    on digit representatives 0 <= x_i < d_i by plain loops. It is a table
+    even when the constants admit no biadditive product, which is what
+    `validate_rng` then rejects."""
+    n = 1
+    for d in dims:
+        n *= d
+
+    def digits(x):
+        out = []
+        for d in reversed(dims):
+            x, r = divmod(x, d)
+            out.append(r)
+        return out[::-1]
+
+    def code(ds):
+        x = 0
+        for d, v in zip(dims, ds):
+            x = x * d + v % d
+        return x
+
+    add = [[code([a + b for a, b in zip(digits(x), digits(y))]) for y in range(n)]
+           for x in range(n)]
+    const = [[digits(c) for c in row] for row in products]
+    mul = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            acc = [0] * len(dims)
+            for i, xi in enumerate(digits(x)):
+                for j, yj in enumerate(digits(y)):
+                    acc = [a + xi * yj * c for a, c in zip(acc, const[i][j])]
+            row.append(code(acc))
+        mul.append(row)
+    return add, mul, 0, one

@@ -419,6 +419,15 @@ def test_dotted_sum_rejects_nonmodule_action():
         dotted_sum(r, part, bad)
 
 
+def test_dotted_sum_rejects_action_wrong_off_the_generators():
+    # a.x = ax agrees with this table on S_A = {1} and S_R = {2}, so the
+    # structure constants pass; 3 . 2 = 0 is caught by (a, 0)(0, x) = (0, a.x)
+    r = zmod(4)
+    part, _ = ideal_as_rng(ideal_from_generators(r, [2]))
+    with pytest.raises(FinringError):
+        dotted_sum(r, part, np.array([[0, 0], [0, 1], [0, 0], [0, 0]]))
+
+
 def test_amalgam_builds_no_dotted_sum_until_asked(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dotted_sum called")

@@ -1,9 +1,11 @@
 """Rings and homs that skip their own validation because they inherit it
-(products, closed subsets, quotients, pullbacks and their maps), checked
-after the fact against the validators and the naive oracles."""
+(products, closed subsets, quotients, pullbacks and their maps) or are
+validated by their structure constants (zmod, trunc_poly, dotted sums),
+checked after the fact against the validators and the naive oracles."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from finring import rings
@@ -38,6 +40,30 @@ def unchecked(monkeypatch):
     return built
 
 
+@pytest.fixture
+def every(monkeypatch):
+    """Every FiniteRng built while the test runs, with whether its
+    constructor passed it a generating set."""
+    built = []
+
+    def record(self, *args, _init=FiniteRng.__init__, **kwargs):
+        _init(self, *args, **kwargs)
+        built.append((self, kwargs.get("additive_gens") is not None))
+    monkeypatch.setattr(FiniteRng, "__init__", record)
+    return built
+
+
+def _additive_closure(ring: FiniteRng, gens) -> np.ndarray:
+    """The subgroup generated by gens, by adding generators from zero."""
+    reached = np.arange(ring.order) == ring.zero
+    frontier = np.array([ring.zero])
+    while frontier.size:
+        hits = np.unique(ring.add[frontier[:, None], np.asarray(gens)].ravel())
+        frontier = hits[~reached[hits]]
+        reached[frontier] = True
+    return reached
+
+
 def test_unchecked_rings_and_homs_pass_the_validators(unchecked):
     text = generate_catalog(0, 32) + _script(
         ("cardinality", "pull_identity", "canonical_isos", "reduced_criterion",
@@ -46,7 +72,8 @@ def test_unchecked_rings_and_homs_pass_the_validators(unchecked):
     assert [r for r in reports if r.status == FAIL] == []
     built_rings, built_homs = unchecked[FiniteRng], unchecked[RingHom]
     provenances = {r.provenance for r in built_rings}
-    assert {"product", "subring", "quotient", "amalgam", "pullback"} <= provenances
+    assert {"product", "subring", "quotient", "amalgam", "pullback",
+            "zmod", "trunc_poly", "dotted_sum"} <= provenances
     assert max(r.order for r in built_rings) == 256
     for r in built_rings:
         report = validate_rng(r)
@@ -77,4 +104,17 @@ def test_amalgam_checks_validate_no_derived_ring(monkeypatch):
         ("cardinality", "pull_identity", "canonical_isos", "domain_criterion",
          "retraction_roundtrip"))))
     assert [r.status for r in reports] == [PASS] * 5
-    assert seen == ["zmod"]  # zmod(128), once: the evaluator shares it
+    assert seen == []  # zmod(128) is validated by its structure constants
+
+
+def test_every_generating_set_generates(every):
+    """The additive generating set each ring carries from its constructor,
+    or the greedy one, generates the whole ring."""
+    text = generate_catalog(0, 32) + _script(
+        ("cardinality", "dotted_presentation", "pull_identity", "canonical_isos",
+         "reduced_criterion", "domain_criterion", "retraction_roundtrip"))
+    evaluate(parse(text))
+    carried = {r.provenance for r, given in every if given}
+    assert {"zmod", "trunc_poly", "dotted_sum", "product", "quotient", "amalgam"} <= carried
+    for r, _ in every:
+        assert r.additive_gens is not None and _additive_closure(r, r.additive_gens).all(), r
