@@ -42,7 +42,10 @@ from .rings import (
     _additive_generators,
     _code,
     _digits,
+    _distinct,
+    _first_at,
     _positions,
+    _sub,
     characteristic,
     closed_subset,
     direct_product,
@@ -105,15 +108,16 @@ def dotted_sum(base: FiniteRng, part: FiniteRng, action) -> DottedSum:
     sa, sr = base.additive_gens, part.additive_gens
     ga = np.concatenate((sa, np.full(sr.size, base.zero)))
     gx = np.concatenate((np.full(sa.size, part.zero), sr))
-    cross = part.add[action[ga[:, None], gx], action[ga, gx[:, None]]]
-    products = base.mul[ga[:, None], ga] * m + part.add[cross, part.mul[gx[:, None], gx]]
+    acts = _sub(action, ga, gx)
+    cross = part.add[acts, acts.T]
+    products = _sub(base.mul, ga, ga) * m + part.add[cross, _sub(part.mul, gx, gx)]
     labels = [f"({a},{x})" for a in base.labels for x in part.labels]
     try:
         ring = from_structure([base, part], products, base.one * m + part.zero, labels,
                               "dotted_sum", f"dsum({base.name},{part.name})")
     except MalformedTable as exc:  # A and R are valid, so the action is at fault
         raise IncompatibleStructures(f"action is no bilinear module structure: {exc}") from None
-    scaled = ring.mul[np.arange(base.order)[:, None] * m + part.zero, base.zero * m + np.arange(m)]
+    scaled = _sub(ring.mul, np.arange(base.order) * m + part.zero, base.zero * m + np.arange(m))
     if not np.array_equal(scaled, base.zero * m + action):
         raise IncompatibleStructures("action is not additive in both arguments")
     # the coordinate maps, homs by the product formula
@@ -144,8 +148,8 @@ def split_sequence_check(ds: DottedSum, instance: str | None = None) -> Verifica
     rep.add("kernel_equals_embedded_part", kernel_ok)
     ideal_ok = ideal_mask_witness(ds.ring, part_mask) is None
     rep.add("embedded_part_is_ideal", ideal_ok)
-    covered = ds.ring.add[ds.embed_base.map[:, None], ds.embed_part.map[None, :]]
-    cover_ok = np.unique(covered).size == n
+    covered = _sub(ds.ring.add, ds.embed_base.map, ds.embed_part.map)
+    cover_ok = _distinct(covered, n).size == n
     rep.add("base_plus_part_covers_ring", cover_ok)
     inj_ok = ds.embed_base.is_injective and ds.embed_part.is_injective
     rep.add("embeddings_injective", inj_ok)
@@ -203,8 +207,8 @@ def dorroh_check(part: FiniteRng, n: int | None = None,
     span = [ds.ring.zero]
     for _ in range(base.order - 1):
         span.append(int(ds.ring.add[span[-1], ds.ring.one]))
-    covered = ds.ring.add[np.array(span)[:, None], ds.embed_part.map[None, :]]
-    span_ok = np.unique(covered).size == ds.ring.order
+    covered = _sub(ds.ring.add, span, ds.embed_part.map)
+    span_ok = _distinct(covered, ds.ring.order).size == ds.ring.order
     rep.add("multiples_of_one_plus_part_cover", span_ok)
     if not (split.status == PASS and ds.ring.has_one and char_ok
             and quotient_ok and span_ok):
@@ -247,7 +251,7 @@ class Amalgam:
         """A dotted-plus J, with A acting on J through f: a.j = f(a)j."""
         B, J = self.target, self.ideal
         jrng, _ = ideal_as_rng(J)
-        action = np.searchsorted(J.indices, B.mul[self.hom.map[:, None], J.indices])
+        action = np.searchsorted(J.indices, _sub(B.mul, self.hom.map, J.indices))
         return dotted_sum(self.base, jrng, action)
 
     @cached_property
@@ -260,7 +264,7 @@ class Amalgam:
         enc = self.pairs[:, 0] * B.order + self.pairs[:, 1]
         dotted_enc = (
             np.repeat(np.arange(A.order, dtype=np.int64), J.size) * B.order
-            + B.add[self.hom.map, :][:, J.indices].ravel()
+            + _sub(B.add, self.hom.map, J.indices).ravel()
         )
         return RingHom(self.dotted.ring, self.ring, np.searchsorted(enc, dotted_enc),
                        unital=True, name="dotted_to_pairs", check=False)
@@ -279,11 +283,10 @@ class Amalgam:
 
 def amalgam_pair_encoding(f: RingHom, J: Ideal) -> np.ndarray:
     """Sorted encodings a*|B| + (f(a)+j) of the element set of the amalgam,
-    without building the ring. Used for cheap set comparisons."""
-    B = f.codomain
-    cols = B.add[f.map[:, None], J.indices[None, :]].astype(np.int64)
-    enc = np.arange(f.domain.order, dtype=np.int64)[:, None] * B.order + cols
-    return np.unique(enc.ravel())
+    without building the ring. Used for cheap set comparisons. They are
+    distinct, as j -> f(a)+j is injective, so sorting each row sorts all."""
+    cols = np.sort(_sub(f.codomain.add, f.map, J.indices), axis=1).astype(np.int64)
+    return (np.arange(f.domain.order, dtype=np.int64)[:, None] * f.codomain.order + cols).ravel()
 
 
 def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
@@ -315,24 +318,22 @@ def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
         raise SizeGuardExceeded(
             f"order {expected} exceeds size guard {config.size_guard()}"
         )
-    cols = np.sort(B.add[f.map[:, None], J.indices[None, :]], axis=1)
-    pairs = np.stack(
-        [np.repeat(np.arange(A.order, dtype=np.int64), J.size),
-         cols.ravel().astype(np.int64)],
-        axis=1,
-    )
+    cols = np.sort(_sub(B.add, f.map, J.indices), axis=1)
+    pairs = np.stack([np.repeat(np.arange(A.order, dtype=np.int64), J.size),
+                      cols.ravel().astype(np.int64)], axis=1)
     # the graph row a sits at a*|J| + (rank of f(a) among f(a)+J)
     rank = np.argmax(cols == f.map[:, None], axis=1)
     graph = np.arange(A.order) * J.size + rank
-    # additive generators: the graph of S_A, and {0} x S_J at row 0 of the
-    # pairs, S_J greedy on (J, +)
-    idx = J.indices
-    s_j = _additive_generators(np.searchsorted(idx, B.add[np.ix_(idx, idx)]),
-                               int(np.searchsorted(idx, B.zero)))
-    ring, _ = pair_subring(
-        A, B, pairs, "amalgam", name or f"amalg({f.name},{J.size})",
-        additive_gens=np.concatenate((graph[A.additive_gens], A.zero * J.size + s_j)),
-    )
+    def additive_gens() -> np.ndarray:
+        # the graph of S_A, and {0} x S_J at row 0 of the pairs, S_J greedy
+        # on (J, +); built when the ring's S is first read
+        idx = J.indices
+        s_j = _additive_generators(np.searchsorted(idx, _sub(B.add, idx, idx)),
+                                   int(np.searchsorted(idx, B.zero)))
+        return np.concatenate((graph[A.additive_gens], A.zero * J.size + s_j))
+
+    ring, _ = pair_subring(A, B, pairs, "amalgam", name or f"amalg({f.name},{J.size})",
+                           additive_gens=additive_gens)
     embed = RingHom(A, ring, graph, unital=True, name="graph_embedding", check=False)
     proj_base = RingHom(ring, A, pairs[:, 0], unital=True, name="proj_base",
                         check=False)
@@ -353,7 +354,7 @@ def image_plus_ideal(f: RingHom, J: Ideal) -> Subrng:
     if J.ring != B:
         raise AmbientMismatch("ideal does not live in the hom's codomain")
     mask = np.zeros(B.order, dtype=bool)
-    mask[B.add[np.unique(f.map)[:, None], J.indices[None, :]].ravel()] = True
+    mask[_sub(B.add, _distinct(f.map, B.order), J.indices)] = True
     return Subrng(B, mask)
 
 
@@ -613,7 +614,7 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
     BJ = pi.codomain
     Ipre = Ideal(A, am.ideal.members[am.hom.map])
     AI, rho = quotient_ring(A, Ipre)
-    _, rep_idx = np.unique(rho.map, return_index=True)
+    rep_idx = _first_at(rho.map, AI.order)
     enc_am = am.pairs[:, 0] * B.order + am.pairs[:, 1]
 
     def collapses(left: FiniteRng, u: np.ndarray, v: np.ndarray,

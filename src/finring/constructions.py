@@ -34,7 +34,7 @@ from .morphisms import (
     verify_iso,
 )
 from .reports import FAIL, PASS, THEOREM_BACKED, VerificationReport
-from .rings import FiniteRng, _digits, _monomials, is_field, trunc_poly
+from .rings import FiniteRng, _digits, _monomials, _sub, is_field, trunc_poly
 from .subobjects import (
     FiniteModule,
     Ideal,
@@ -106,7 +106,7 @@ def nagata_idealization(base: FiniteRng, module: FiniteModule,
     proj_base = RingHom(ring, base, ds.proj_base.map, unital=True,
                         name="base_projection", check=False)
     emb = embed_module.map
-    if not (ring.mul[np.ix_(emb, emb)] == ring.zero).all():
+    if not (_sub(ring.mul, emb, emb) == ring.zero).all():
         raise InvariantViolated("embedded module is not square-zero")
     idl = Idealization(ring, base, module, part, embed_base, embed_module,
                        proj_base)
@@ -134,7 +134,7 @@ def nagata_as_amalgam_check(base: FiniteRng, module: FiniteModule,
     rep.add("extension_order", idl.ring.order)
     rep.add("amalgam_order", am.ring.order)
     square_zero = bool(
-        (idl.ring.mul[np.ix_(J.indices, J.indices)] == idl.ring.zero).all()
+        (_sub(idl.ring.mul, J.indices, J.indices) == idl.ring.zero).all()
     )
     rep.add("module_ideal_square_zero", square_zero)
     valid = verify_iso(am.proj_target)
@@ -300,8 +300,8 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
     s_tot = lamQ.map[piI.map[S]]
     if (inv_loc[s_loc] < 0).any() or (inv_tot[s_tot] < 0).any():
         raise InvariantViolated("a denominator failed to invert")
-    e_idx = loc.mul[lam.map[:, None], inv_loc[s_loc][None, :]]
-    t_idx = tot.mul[lamQ.map[piI.map][:, None], inv_tot[s_tot][None, :]]
+    e_idx = _sub(loc.mul, lam.map, inv_loc[s_loc])
+    t_idx = _sub(tot.mul, lamQ.map[piI.map], inv_tot[s_tot])
     phi_map = np.full(loc.order, -1, dtype=np.int64)
     phi_map[e_idx.ravel()] = t_idx.ravel()
     well_defined = (phi_map >= 0).all() and (phi_map[e_idx] == t_idx).all()

@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from .errors import AmbientMismatch, MalformedMap, NotSurjective
 from .reports import ValidationReport, Violation
-from .rings import Element, FiniteRng
+from .rings import Element, FiniteRng, _distinct, _first_at, _sub
 from .subobjects import (
     Ideal,
     Subrng,
@@ -66,11 +66,11 @@ class RingHom:
 
     @property
     def is_injective(self) -> bool:
-        return np.unique(self.map).size == self.domain.order
+        return _distinct(self.map, self.codomain.order).size == self.domain.order
 
     @property
     def is_surjective(self) -> bool:
-        return np.unique(self.map).size == self.codomain.order
+        return _distinct(self.map, self.codomain.order).size == self.codomain.order
 
     @property
     def is_bijective(self) -> bool:
@@ -103,13 +103,14 @@ def _respects(fmap: np.ndarray, cols: np.ndarray, table_b: np.ndarray,
     """f(x op g) = f(x) op f(g) for every x and every g in gens, where cols
     holds x op g (`FiniteRng._generator_columns`); one verdict per column
     when fmap holds several maps as columns."""
-    return (fmap[cols] == table_b[fmap[:, None], fmap[gens]]).all(axis=(0, 1))
+    rhs = _sub(table_b, fmap, fmap[gens]) if fmap.ndim == 1 else table_b[fmap[:, None], fmap[gens]]
+    return (fmap[cols] == rhs).all(axis=(0, 1))
 
 
 def _first_miss(fmap: np.ndarray, table_a: np.ndarray,
                 table_b: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically first (x, y) with f(x op y) != f(x) op f(y)."""
-    bad = fmap[table_a] != table_b[fmap[:, None], fmap[None, :]]
+    bad = fmap[table_a] != _sub(table_b, fmap, fmap)
     if not bad.any():
         return None
     i, j = np.argwhere(bad)[0]
@@ -217,8 +218,7 @@ def first_iso_witness(h: RingHom) -> FirstIsoWitness:
     if not h.is_surjective:
         raise NotSurjective(f"{h.name} is not surjective")
     Q, proj = quotient_ring(h.domain, kernel(h))
-    _, rep_idx = np.unique(proj.map, return_index=True)
-    iso = RingHom(Q, h.codomain, h.map[rep_idx], unital=h.unital,
+    iso = RingHom(Q, h.codomain, h.map[_first_at(proj.map, Q.order)], unital=h.unital,
                   name=f"induced({h.name})", check=False)
     return FirstIsoWitness(Q, proj, iso)
 
@@ -253,7 +253,7 @@ def complete_hom(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], assignments,
     seeds = tuple(dict.fromkeys(keys))
     if seeds not in A._programs:
         mask, rounds = _closure(A.order, seeds, A.add, A.mul, absorbing=False)
-        A._programs[seeds] = _derivation(rounds) if mask.all() else None
+        A._programs[seeds] = _derivation(A.order, rounds) if mask.all() else None
     program = A._programs[seeds]
     if program is None:
         return [None] * len(assignments)

@@ -66,6 +66,37 @@ def _blocks(n: int, cells_per_block: int = 1 << 21) -> Iterator[tuple[int, int]]
         yield i0, min(n, i0 + step)
 
 
+def _sub(table: np.ndarray, rows, cols) -> np.ndarray:
+    """table[rows][:, cols], the sub-table at the index arrays rows and
+    cols: whole rows first, then columns by `np.take`, so that each gather
+    stays inside one row. On large sub-tables this is several times
+    faster than one two-dimensional fancy index."""
+    return table.take(rows, 0).take(cols, 1)
+
+
+def _distinct(x, n: int) -> np.ndarray:
+    """The distinct values of x, all in 0..n-1, in ascending order: a
+    boolean scatter over 0..n-1 while n is at most 32 x.size, about where
+    one pass over n flags costs what sorting x does, else a sort."""
+    x = np.ravel(x)
+    if n <= 32 * x.size:
+        seen = np.zeros(n, dtype=bool)
+        seen[x] = True
+        return np.flatnonzero(seen)
+    x = np.sort(x)
+    return x[np.diff(x, prepend=-1) != 0]
+
+
+def _first_at(x, n: int) -> np.ndarray:
+    """first[v], for v in 0..n-1, the least i with x[i] == v, -1 where v
+    does not occur: a scatter of the positions in reverse, so that the last
+    write to each value, the least position, is the one kept."""
+    x = np.ravel(x)
+    first = np.full(n, -1, dtype=np.int64)
+    first[x[::-1]] = np.arange(x.size - 1, -1, -1)
+    return first
+
+
 class FiniteRng:
     """A finite commutative rng given by explicit operation tables."""
 
@@ -129,11 +160,11 @@ class FiniteRng:
         self._quotients: dict[bytes, tuple] = {}
         self._label_pos: dict[str, int] | None = None
         self._hash: int | None = None
-        if additive_gens is not None:  # seeds the cached property
-            gens = self.__dict__["additive_gens"] = np.array(additive_gens, dtype=np.int64).ravel()
-            if ((gens < 0) | (gens >= n)).any():
-                raise MalformedTable("additive generator out of range")
-            gens.setflags(write=False)
+        # the constructor's S: an array is read (and range-checked) now, a
+        # zero-argument callable when S is first read
+        self._gens_source = additive_gens
+        if additive_gens is not None and not callable(additive_gens):
+            self.additive_gens
         if check:
             report = validate_rng(self)
             if not report.ok:
@@ -206,11 +237,18 @@ class FiniteRng:
 
     @cached_property
     def additive_gens(self) -> np.ndarray | None:
-        """An additive generating set S: carried by the constructor, else
-        greedy (`_additive_generators`, computed once per ring; None when +
-        is no abelian group). Every decider that reads S reaches the same
-        verdict and witness from any generating set."""
-        gens = _additive_generators(self.add, self.zero)
+        """An additive generating set S: carried by the constructor, or
+        built on this first read by the callable it passed, else greedy
+        (`_additive_generators`, computed once per ring; None when + is no
+        abelian group). Every decider that reads S reaches the same verdict
+        and witness from any generating set."""
+        source, self._gens_source = self._gens_source, None
+        if source is None:
+            gens = _additive_generators(self.add, self.zero)
+        else:
+            gens = np.array(source() if callable(source) else source, dtype=np.int64).ravel()
+            if ((gens < 0) | (gens >= self.order)).any():
+                raise MalformedTable("additive generator out of range")
         if gens is not None:
             gens.setflags(write=False)
         return gens
@@ -317,7 +355,7 @@ def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray | None:
             inside[frontier] = True
             members = np.concatenate((members, frontier))
             hit = np.zeros(n, dtype=bool)
-            hit[add[frontier[:, None], members]] = True
+            hit[_sub(add, frontier, members)] = True
             frontier = np.flatnonzero(hit & ~inside)
 
 
@@ -378,7 +416,7 @@ def _distrib_scan(add: np.ndarray, mul: np.ndarray) -> tuple[int, int, int] | No
     return _scan(
         mul.shape[0],
         lambda a: mul[a][add],
-        lambda a: add[mul[a][:, None], mul[a][None, :]],
+        lambda a: _sub(add, mul[a], mul[a]),
     )
 
 
@@ -847,8 +885,8 @@ def is_domain(ring: FiniteRng) -> bool:
     ring.require_one()
     if ring.order == 1:
         return False
-    nz = np.arange(ring.order) != ring.zero
-    return not (ring.mul[np.ix_(nz, nz)] == ring.zero).any()
+    nz = np.flatnonzero(np.arange(ring.order) != ring.zero)
+    return not (_sub(ring.mul, nz, nz) == ring.zero).any()
 
 
 def is_field(ring: FiniteRng) -> bool:
@@ -909,8 +947,8 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     to hold 0 and to be closed under + and *; a closed subset of a valid rng
     meets every axiom that quantifies over all elements, and a finite subset
     closed under + is a subgroup (x, 2x, 3x, ... returns to 0), so it holds
-    the negatives too. `additive_gens`, positions in the subset, is the
-    caller's generating set of it, when it knows one."""
+    the negatives too. `additive_gens`, positions in the subset (or a
+    callable, see `FiniteRng`), is the caller's generating set of it."""
     factors = list(factors)
     dims = [f.order for f in factors]
     size = math.prod(dims)
@@ -940,7 +978,7 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     mul = np.empty((m, m), dtype=_TABLE_DTYPE)
     for table, op, word in ((add, "add", "addition"), (mul, "mul", "multiplication")):
         for i0, i1 in _blocks(m):
-            cells = (getattr(f, op)[d[i0:i1, None], d] for f, d in zip(factors, digits))
+            cells = (_sub(getattr(f, op), d[i0:i1], d) for f, d in zip(factors, digits))
             block = position(_code(cells, dims, dtype))
             if (block < 0).any():
                 raise InvalidParameter(f"subset is not closed under {word}")
@@ -965,7 +1003,10 @@ def restrict_to_subset(
 ) -> FiniteRng:
     """The subset, sorted by ambient index, as a standalone rng with inherited
     labels: the `closed_subset` of the one factor `ring`."""
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= ring.order):
+        raise InvalidParameter("subset index out of range")
+    idx = _distinct(idx, ring.order)
     return closed_subset([ring], idx, provenance, name, labels=[ring.labels[i] for i in idx])
 
 
@@ -986,7 +1027,7 @@ def pair_subring(
         raise InvalidParameter("pair set must be nonempty")
     if arr.min() < 0 or arr[:, 0].max() >= left.order or arr[:, 1].max() >= right.order:
         raise InvalidParameter("pair index out of range")
-    # a*|right| + b orders pairs lexicographically, so np.unique sorts them
-    codes = np.unique(arr[:, 0] * right.order + arr[:, 1])
+    # a*|right| + b orders pairs lexicographically, so `_distinct` sorts them
+    codes = _distinct(arr[:, 0] * right.order + arr[:, 1], left.order * right.order)
     ring = closed_subset([left, right], codes, provenance, name, additive_gens=additive_gens)
     return ring, np.stack(np.divmod(codes, right.order), axis=1)

@@ -32,10 +32,13 @@ from .rings import (
     _additive_generators,
     _assoc_on,
     _assoc_scan,
+    _distinct,
     _distrib_scan,
     _distributes,
+    _first_at,
     _group_laws,
     _scan,
+    _sub,
     is_domain,
     is_field,
     is_reduced,
@@ -148,7 +151,7 @@ def _closure(order: int, seed, add: np.ndarray, mul: np.ndarray,
     while True:
         spans = ((frontier, members),
                  (None, frontier) if absorbing else (frontier, members))
-        blocks = [(table if rows is None else table[rows])[:, cols]
+        blocks = [table.take(cols, 1) if rows is None else _sub(table, rows, cols)
                   for table, (rows, cols) in zip((add, mul), spans)]
         hit = np.zeros(order, dtype=bool)
         for block in blocks:
@@ -161,20 +164,19 @@ def _closure(order: int, seed, add: np.ndarray, mul: np.ndarray,
         members = np.concatenate((members, frontier))
 
 
-def _derivation(rounds: list[tuple]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """The rounds of `_closure` as a straight-line program: steps (op, z, x,
-    y) meaning z = add[x, y] (op 0) or z = mul[x, y] (op 1), elementwise,
-    each z taken from the first cell of its round that produced it. Every
-    x and y of a step is a seed or the z of an earlier step."""
+def _derivation(order: int, rounds: list[tuple]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The rounds of `_closure` on 0..order-1 as a straight-line program:
+    steps (op, z, x, y) meaning z = add[x, y] (op 0) or z = mul[x, y] (op
+    1), elementwise, each z taken from the first cell of its round that
+    produced it. Every x and y is a seed or the z of an earlier step."""
     steps = []
     for new, blocks in rounds:
         todo = new
         for op, ((rows, cols), block) in enumerate(blocks):
-            vals, at = np.unique(block, return_index=True)
-            k = np.searchsorted(vals, todo).clip(max=vals.size - 1)
-            found = vals[k] == todo
+            at = _first_at(block, order)[todo]
+            found = at >= 0
             if found.any():
-                i, j = np.divmod(at[k[found]], cols.size)
+                i, j = np.divmod(at[found], cols.size)
                 steps.append((op, todo[found], i if rows is None else rows[i], cols[j]))
             todo = todo[~found]
     return steps
@@ -192,11 +194,11 @@ def ideal_mask_witness(ring: FiniteRng, mask: np.ndarray) -> str | None:
     if not mask[neg[idx]].all():
         bad = idx[~mask[neg[idx]]][0]
         return f"not closed under negation at {ring.labels[bad]}"
-    sums = ring.add[np.ix_(idx, idx)]
+    sums = _sub(ring.add, idx, idx)
     if not mask[sums].all():
         i, j = np.argwhere(~mask[sums])[0]
         return f"not closed under + at ({ring.labels[idx[i]]}, {ring.labels[idx[j]]})"
-    prods = ring.mul[:, idx]
+    prods = np.take(ring.mul, idx, 1)
     if not mask[prods].all():
         r, j = np.argwhere(~mask[prods])[0]
         return f"not absorbing at ({ring.labels[r]}, {ring.labels[idx[j]]})"
@@ -264,8 +266,8 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     _same_ambient(I, J)
-    prods = I.ring.mul[np.ix_(I.indices, J.indices)].ravel()
-    return ideal_from_generators(I.ring, np.unique(prods))
+    prods = _sub(I.ring.mul, I.indices, J.indices)
+    return ideal_from_generators(I.ring, _distinct(prods, I.ring.order))
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -283,7 +285,7 @@ def nilradical(ring: FiniteRng) -> Ideal:
 
 def annihilator_killed(ring: FiniteRng, s_indices: np.ndarray) -> np.ndarray:
     """Mask of x with tx = 0 for some t in the given set."""
-    return (ring.mul[np.ix_(s_indices, np.arange(ring.order))] == ring.zero).any(axis=0)
+    return (np.take(ring.mul, s_indices, 0) == ring.zero).any(axis=0)
 
 
 # -- quotients -------------------------------------------------------------------
@@ -293,11 +295,9 @@ def coset_representatives(ring: FiniteRng, I: Ideal) -> tuple[np.ndarray, np.nda
     """(reps, class_of): reps are the least-index coset representatives in
     ascending order; class_of[x] is the class index of element x."""
     _require_same_ring(ring, I)
-    cosets = ring.add[:, I.indices]
-    rep_of = cosets.min(axis=1)
-    reps = np.unique(rep_of)
-    class_of = np.searchsorted(reps, rep_of)
-    return reps, class_of
+    rep_of = np.take(ring.add, I.indices, 1).min(axis=1)
+    is_rep = rep_of == np.arange(ring.order)  # x is the least of x + I
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_of]
 
 
 def _require_same_ring(ring: FiniteRng, sub) -> None:
@@ -317,9 +317,9 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     R·x of a unital ring (`_principal`), or checked by
     `ideal_from_members`, so the class map is a congruence and the quotient
     is the image of a valid ring under a surjective hom, where every axiom
-    holds. The projection is validated, on the additive generators of
-    `ring`, as a hom onto the quotient's tables, and their classes generate
-    the quotient additively.
+    holds. The projection, the class map of that congruence, is a hom onto
+    the quotient's tables by construction and not validated either. The
+    classes of the additive generators of `ring` generate the quotient.
     """
     from .morphisms import RingHom
 
@@ -327,8 +327,8 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     key = I.members.tobytes()
     if key not in ring._quotients:
         reps, class_of = coset_representatives(ring, I)
-        add = class_of[ring.add[np.ix_(reps, reps)]]
-        mul = class_of[ring.mul[np.ix_(reps, reps)]]
+        add = class_of[_sub(ring.add, reps, reps)]
+        mul = class_of[_sub(ring.mul, reps, reps)]
         zero = int(class_of[ring.zero])
         one = int(class_of[ring.one]) if ring.has_one else None
         labels = [f"[{ring.labels[r]}]" for r in reps]
@@ -337,7 +337,7 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
             provenance="quotient", name=f"quot({ring.name},{I.size})", check=False,
             additive_gens=class_of[ring.additive_gens],
         )
-        proj = RingHom(ring, quotient, class_of, unital=ring.has_one)
+        proj = RingHom(ring, quotient, class_of, unital=ring.has_one, check=False)
         ring._quotients[key] = (quotient, proj)
     return ring._quotients[key]
 
@@ -363,7 +363,7 @@ def regular_elements_mod(ring: FiniteRng, I: Ideal) -> np.ndarray:
     m = reps.size
     if m == 1:
         return np.arange(ring.order)
-    mul = class_of[ring.mul[np.ix_(reps, reps)]]
+    mul = class_of[_sub(ring.mul, reps, reps)]
     zero = int(class_of[ring.zero])
     nonzero_cols = np.arange(m) != zero
     kills = (mul[:, nonzero_cols] == zero).any(axis=1)
@@ -388,7 +388,7 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
         raise NotMultiplicativelyClosed("localization set must contain 1")
     in_s = np.zeros(ring.order, dtype=bool)
     in_s[s_idx] = True
-    closed = in_s[ring.mul[np.ix_(s_idx, s_idx)]]
+    closed = in_s[_sub(ring.mul, s_idx, s_idx)]
     if not closed.all():
         i, j = np.argwhere(~closed)[0]
         raise NotMultiplicativelyClosed(
@@ -403,20 +403,21 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
     pairs = np.array(
         [(a, int(s)) for a in range(ring.order) for s in s_idx], dtype=np.int64
     )
-    cross = ring.mul[pairs[:, 0][:, None], pairs[:, 1][None, :]]
+    cross = _sub(ring.mul, pairs[:, 0], pairs[:, 1])
     diff = ring.sub(cross, cross.T)
     eq = killed[diff]
     rep_idx = eq.argmax(axis=1)
-    reps_sorted = np.unique(rep_idx)
-    class_of_pair = np.searchsorted(reps_sorted, rep_idx)
-    rep_pairs = pairs[reps_sorted]
+    is_rep = rep_idx == np.arange(npairs)  # the least pair of its class
+    class_of_pair = (np.cumsum(is_rep) - 1)[rep_idx]
+    rep_pairs = pairs[is_rep]
     ra, rs = rep_pairs[:, 0], rep_pairs[:, 1]
     lookup = np.full((ring.order, ring.order), -1, dtype=np.int64)
     lookup[pairs[:, 0], pairs[:, 1]] = class_of_pair
-    num = ring.add[ring.mul[ra[:, None], rs[None, :]], ring.mul[ra[None, :], rs[:, None]]]
-    den = ring.mul[rs[:, None], rs[None, :]]
+    ra_rs = _sub(ring.mul, ra, rs)
+    num = ring.add[ra_rs, ra_rs.T]
+    den = _sub(ring.mul, rs, rs)
     add = lookup[num, den]
-    mul = lookup[ring.mul[ra[:, None], ra[None, :]], den]
+    mul = lookup[_sub(ring.mul, ra, ra), den]
     if (add < 0).any() or (mul < 0).any():
         raise InvariantViolated("a sum or product of fractions has no class")
     zero = int(lookup[ring.zero, one])
@@ -591,8 +592,8 @@ def module_via_hom(f, J: Ideal) -> FiniteModule:
     idx = J.indices
     pos = np.full(B.order, -1, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
-    add = pos[B.add[np.ix_(idx, idx)]]
-    action = pos[B.mul[f.map[:, None], idx[None, :]]]
+    add = pos[_sub(B.add, idx, idx)]
+    action = pos[_sub(B.mul, f.map, idx)]
     if (add < 0).any() or (action < 0).any():
         raise InvariantViolated("the ideal is not closed under + or the action")
     M = FiniteModule(

@@ -661,3 +661,12 @@ def structure_tables(dims, products, one):
             row.append(code(acc))
         mul.append(row)
     return add, mul, 0, one
+
+
+def least_preimages(values, n: int) -> list[int]:
+    """For each v in 0..n-1, the least i with values[i] == v; -1 when v
+    does not occur."""
+    first: dict[int, int] = {}
+    for i, v in enumerate(values):
+        first.setdefault(int(v), i)
+    return [first.get(v, -1) for v in range(n)]

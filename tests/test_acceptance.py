@@ -294,3 +294,20 @@ def test_catalog_under_python_dash_OO_matches_golden_json():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == GOLDEN.read_text()
+
+
+def test_catalog_never_imports_numpy_ma():
+    """numpy's `unique` and `isin` import numpy.ma on first use (15 ms);
+    the kernels scatter over the known index range instead, so a whole
+    catalog run in a fresh interpreter leaves numpy.ma unloaded."""
+    code = (
+        "import sys\n"
+        "from finring.dsl_cli import evaluate, generate_catalog, parse\n"
+        "from finring.reports import reports_to_json\n"
+        f"reports_to_json(evaluate(parse(generate_catalog({SEED}, {BUDGET}))))\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr or "numpy.ma was imported"
