@@ -164,7 +164,8 @@ def _closure(order: int, seed, add: np.ndarray, mul: np.ndarray,
         members = np.concatenate((members, frontier))
 
 
-def _derivation(order: int, rounds: list[tuple]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _derivation(order: int,
+                rounds: list[tuple]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The rounds of `_closure` on 0..order-1 as a straight-line program:
     steps (op, z, x, y) meaning z = add[x, y] (op 0) or z = mul[x, y] (op
     1), elementwise, each z taken from the first cell of its round that

@@ -38,10 +38,10 @@ from finring.amalgamation import (
     split_sequence_check,
 )
 from finring.dsl_cli import evaluate, parse
-from finring.errors import FinringError, HypothesisViolated, InvalidParameter
+from finring.errors import FinringError, HypothesisViolated, InvalidParameter, MalformedTable
 from finring.morphisms import RingHom, enumerate_homs, identity_hom, verify_iso
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS
-from finring.rings import direct_product, is_reduced, zmod
+from finring.rings import FiniteRng, direct_product, is_reduced, zmod
 from finring.subobjects import (
     ideal_as_rng,
     ideal_from_generators,
@@ -440,3 +440,31 @@ def test_amalgam_builds_no_dotted_sum_until_asked(monkeypatch):
     (rep,) = evaluate(script)
     assert rep.status == PASS
     assert rep.witness("amalgam_order") == "32"
+
+
+def test_amalgam_builds_s_j_on_the_first_read_of_its_generators(monkeypatch):
+    """The greedy S_J runs once, when the amalgam's S is first read, and
+    the S it completes generates the amalgam additively."""
+    calls = []
+    greedy = finring.amalgamation._additive_generators
+    monkeypatch.setattr(finring.amalgamation, "_additive_generators",
+                        lambda *args: calls.append(args) or greedy(*args))
+    r = zmod(16)
+    ring = duplication(r, ideal_from_generators(r, [4])).ring
+    assert calls == [] and "additive_gens" not in vars(ring)
+    gens = ring.additive_gens
+    assert len(calls) == 1 and ring.additive_gens is gens and not gens.flags.writeable
+    reached = np.arange(ring.order) == ring.zero
+    for _ in range(ring.order):
+        reached[ring.add[np.flatnonzero(reached)][:, gens]] = True
+    assert reached.all()
+
+
+def test_a_generating_set_callable_is_range_checked_when_read():
+    r = zmod(4)
+    ring = FiniteRng(r.add, r.mul, r.zero, r.one, r.labels, check=False,
+                     additive_gens=lambda: [1, 4])
+    with pytest.raises(MalformedTable, match="additive generator out of range"):
+        ring.additive_gens
+    with pytest.raises(MalformedTable, match="additive generator out of range"):
+        FiniteRng(r.add, r.mul, r.zero, r.one, r.labels, additive_gens=[-1])

@@ -131,6 +131,9 @@ def test_closed_subset_refusals():
         closed_subset([z4, z4], range(1, 16))
     with pytest.raises(InvalidParameter, match="not closed under addition"):
         restrict_to_subset(z4, [0, 1], "subring", "sub")
+    for indices in ([0, 4], [-1, 0]):
+        with pytest.raises(InvalidParameter, match="index out of range"):
+            restrict_to_subset(z4, indices, "subring", "sub")
     # {0, w} is an additive subgroup of GF(4), but w*w = w+1
     w = gf4.index_of("w")
     with pytest.raises(InvalidParameter, match="not closed under multiplication"):
