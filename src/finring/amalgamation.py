@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .rings import (
     FiniteRng,
     _additive_generators,
     _code,
+    _code_space,
     _digits,
     _distinct,
     _first_at,
@@ -48,7 +50,6 @@ from .rings import (
     _sub,
     characteristic,
     closed_subset,
-    direct_product,
     from_structure,
     is_domain,
     is_reduced,
@@ -289,15 +290,66 @@ def amalgam_pair_encoding(f: RingHom, J: Ideal) -> np.ndarray:
     return (np.arange(f.domain.order, dtype=np.int64)[:, None] * f.codomain.order + cols).ravel()
 
 
+class NAmalgam(NamedTuple):
+    """An n-fold amalgam and the flat coordinates (a, b_1, ..., b_n) of its
+    elements, one row each, as indices in the factors A, B, ..., B."""
+
+    ring: FiniteRng
+    coords: np.ndarray
+
+
+def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> NAmalgam:
+    """The amalgam of the diagonal hom A -> B^n along J^n: the elements
+    (a, f(a)+j_1, ..., f(a)+j_n), |A| * |J|^n of them in lexicographic
+    order, as the `closed_subset` of the flat product (A, B, ..., B); B^n
+    is never built. `amalgam` is the case n = 1.
+
+    Closed, as J^n is an ideal of B^n and the diagonal a unital hom. As
+    j -> f(a)+j is injective, listing f(a)+J increasingly in each
+    coordinate lists distinct codes in order. Each element is the graph
+    (a, f(a), ..., f(a)) plus one j_k per coordinate, so the graph of S_A
+    and, over a = 0, S_J in each coordinate generate it additively."""
+    A, B = f.domain, f.codomain
+    if J.ring != B:
+        raise AmbientMismatch("ideal does not live in the hom's codomain")
+    if not f.unital:
+        raise InvalidParameter("amalgam requires a unital hom")
+    if n < 1:
+        raise InvalidParameter("n_amalgam needs n >= 1")
+    if n > config.size_guard():  # before any power of n
+        raise SizeGuardExceeded(f"n = {n} exceeds size guard {config.size_guard()}")
+    if A.order * J.size ** n > config.size_guard():
+        raise SizeGuardExceeded(
+            f"order {A.order * J.size ** n} exceeds size guard {config.size_guard()}")
+    dims = [A.order] + [B.order] * n
+    _code_space(dims)  # before any code is computed
+    cols = np.sort(_sub(B.add, f.map, J.indices), axis=1)  # row a: f(a)+J, increasing
+    ranks = [A.order] + [J.size] * n
+    t = _digits(np.arange(A.order * J.size ** n), ranks)  # (a, rank of each b_k in row a)
+    coords = np.stack([t[0]] + [cols[t[0], tk] for tk in t[1:]], axis=1)
+
+    def additive_gens() -> np.ndarray:
+        # built when the ring's S is first read; S_J greedy on (J, +)
+        idx, sa = J.indices, A.additive_gens
+        zero = int(np.searchsorted(idx, B.zero))
+        s_j = _additive_generators(np.searchsorted(idx, _sub(B.add, idx, idx)), zero)
+        graph = np.argmax(cols == f.map[:, None], axis=1)[sa]
+        return np.concatenate([_code([sa] + [graph] * n, ranks)] + [
+            _code([A.zero] + [zero] * k + [s_j] + [zero] * (n - 1 - k), ranks)
+            for k in range(n)])
+
+    ring = closed_subset([A] + [B] * n, _code(coords.T, dims), "amalgam",
+                         name or f"amalg^{n}({f.name},{J.size})", additive_gens=additive_gens)
+    return NAmalgam(ring, coords)
+
+
 def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
     """Construct the amalgam of f along J with its three canonical maps.
 
     The structure holds by construction, so nothing is rescanned here; the
     `cardinality` and `dotted_presentation` checks report it per instance:
 
-    - for fixed a, j -> f(a)+j is injective, so the rows (a, f(a)+J) are
-      |A|*|J| distinct pairs, already in lexicographic order, which is the
-      order `pair_subring` keeps;
+    - the ring and its pairs (a, f(a)+j) are `n_amalgam` with n = 1;
     - j = 0 puts the graph (a, f(a)) inside, and f unital makes (1, 1) its
       identity, so embed and both projections are unital homs, and
       proj_base retracts embed;
@@ -305,36 +357,14 @@ def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
       f(a)+j = 0 means j = -f(a);
     - (a, j) -> (a, f(a)+j) is a bijective hom from A dotted-plus J (with
       a.j = f(a)j), because f(aa') + f(a)j' + f(a')j + jj' is
-      (f(a)+j)(f(a')+j'). It is additive, so the images (s, f(s)) of S_A
-      and (0, t) of S_J generate the amalgam additively.
+      (f(a)+j)(f(a')+j').
     """
     A, B = f.domain, f.codomain
-    if J.ring != B:
-        raise AmbientMismatch("ideal does not live in the hom's codomain")
-    if not f.unital:
-        raise InvalidParameter("amalgam requires a unital hom")
-    expected = A.order * J.size
-    if expected > config.size_guard():
-        raise SizeGuardExceeded(
-            f"order {expected} exceeds size guard {config.size_guard()}"
-        )
-    cols = np.sort(_sub(B.add, f.map, J.indices), axis=1)
-    pairs = np.stack([np.repeat(np.arange(A.order, dtype=np.int64), J.size),
-                      cols.ravel().astype(np.int64)], axis=1)
+    ring, pairs = n_amalgam(f, J, 1, name or f"amalg({f.name},{J.size})")
     # the graph row a sits at a*|J| + (rank of f(a) among f(a)+J)
-    rank = np.argmax(cols == f.map[:, None], axis=1)
-    graph = np.arange(A.order) * J.size + rank
-    def additive_gens() -> np.ndarray:
-        # the graph of S_A, and {0} x S_J at row 0 of the pairs, S_J greedy
-        # on (J, +); built when the ring's S is first read
-        idx = J.indices
-        s_j = _additive_generators(np.searchsorted(idx, _sub(B.add, idx, idx)),
-                                   int(np.searchsorted(idx, B.zero)))
-        return np.concatenate((graph[A.additive_gens], A.zero * J.size + s_j))
-
-    ring, _ = pair_subring(A, B, pairs, "amalgam", name or f"amalg({f.name},{J.size})",
-                           additive_gens=additive_gens)
-    embed = RingHom(A, ring, graph, unital=True, name="graph_embedding", check=False)
+    rank = np.argmax(pairs[:, 1].reshape(A.order, J.size) == f.map[:, None], axis=1)
+    embed = RingHom(A, ring, np.arange(A.order) * J.size + rank, unital=True,
+                    name="graph_embedding", check=False)
     proj_base = RingHom(ring, A, pairs[:, 0], unital=True, name="proj_base",
                         check=False)
     proj_target = RingHom(ring, B, pairs[:, 1], unital=True, name="proj_target",
@@ -421,41 +451,6 @@ def same_amalgam(f: RingHom, g: RingHom, J: Ideal,
 # -- iterated amalgams ---------------------------------------------------------------
 
 
-def _diagonal_power(f: RingHom, n: int) -> tuple[RingHom, FiniteRng, tuple[int, ...]]:
-    """(diagonal hom A -> B^n, the product ring B^n, its factor dims)."""
-    B = f.codomain
-    if B.order ** n > config.size_guard():
-        raise SizeGuardExceeded(
-            f"|B|^{n} = {B.order ** n} exceeds size guard {config.size_guard()}"
-        )
-    power = direct_product([B] * n, name=f"{B.name}^{n}")
-    dims = (B.order,) * n
-    diag = _code([f.map] * n, dims)
-    return RingHom(f.domain, power, diag, unital=True, name=f"diag^{n}({f.name})"), power, dims
-
-
-def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> Amalgam:
-    """The amalgam of the diagonal hom into B^n along J^n: elements
-    (a, (f(a)+j_1, ..., f(a)+j_n)). Order |A| * |J|^n."""
-    if n < 1:
-        raise InvalidParameter("n_amalgam needs n >= 1")
-    if n > config.size_guard():  # before any power of n, and B^n has n factors
-        raise SizeGuardExceeded(f"n = {n} exceeds size guard {config.size_guard()}")
-    if f.domain.order * J.size ** n > config.size_guard():
-        raise SizeGuardExceeded(
-            f"order {f.domain.order * J.size ** n} exceeds size guard "
-            f"{config.size_guard()}"
-        )
-    diag, power, dims = _diagonal_power(f, n)
-    digits = _digits(np.arange(power.order), dims)
-    mask = np.ones(power.order, dtype=bool)
-    for k in range(n):
-        mask &= J.members[digits[k]]
-    # J^n is an ideal of B^n: every operation acts coordinate by coordinate
-    Jn = Ideal(power, mask)
-    return amalgam(diag, Jn, name or f"amalg^{n}({f.name},{J.size})")
-
-
 def iter_iso_check(f: RingHom, J: Ideal, n: int,
                    instance: str | None = None) -> VerificationReport:
     """the n-fold amalgam is a duplication of the (n-1)-fold one
@@ -474,32 +469,23 @@ def iter_iso_check(f: RingHom, J: Ideal, n: int,
     )
     big = n_amalgam(f, J, n)
     small = n_amalgam(f, J, n - 1)
-    B = f.codomain
-    dims_small = (B.order,) * (n - 1)
-    digits_small = _digits(small.pairs[:, 1], dims_small)
-    tail_mask = small.pairs[:, 0] == small.base.zero
-    for k in range(n - 2):
-        tail_mask &= digits_small[k] == B.zero
-    tail_mask &= J.members[digits_small[n - 2]]
-    Jprime = ideal_from_members(small.ring, tail_mask)
+    A, B = f.domain, f.codomain
+    # (0, 0, ..., 0, j): a = 0 puts every b_k in J
+    tail = (small.coords[:, :-1] == [A.zero] + [B.zero] * (n - 2)).all(axis=1)
+    Jprime = ideal_from_members(small.ring, tail)
     rep.add("embedded_ideal_order", Jprime.size)
     dup = duplication(small.ring, Jprime)
     rep.add("left_order", big.ring.order)
     rep.add("right_order", dup.ring.order)
-    expected = f.domain.order * J.size ** n
+    expected = A.order * J.size ** n
     rep.add("expected_order", expected)
 
-    dims_big = (B.order,) * n
-    digits_big = _digits(big.pairs[:, 1], dims_big)
-    head = digits_big[:-1]
-    swapped = digits_big[:-2] + [digits_big[-1]]
-    enc_small = small.pairs[:, 0] * small.target.order + small.pairs[:, 1]
-    first_enc = big.pairs[:, 0] * small.target.order + _code(head, dims_small)
-    second_enc = big.pairs[:, 0] * small.target.order + _code(swapped, dims_small)
-    d1 = _positions(enc_small, first_enc)
-    d2 = _positions(enc_small, second_enc)
-    enc_dup = dup.pairs[:, 0] * dup.target.order + dup.pairs[:, 1]
-    pos = _positions(enc_dup, d1 * dup.target.order + d2)
+    dims = [A.order] + [B.order] * (n - 1)
+    enc_small = _code(small.coords.T, dims)
+    d1 = _positions(enc_small, _code(big.coords[:, :-1].T, dims))
+    d2 = _positions(enc_small, _code(np.delete(big.coords, -2, axis=1).T, dims))
+    enc_dup = dup.pairs[:, 0] * small.ring.order + dup.pairs[:, 1]
+    pos = _positions(enc_dup, d1 * small.ring.order + d2)
     if min(d1.min(), d2.min(), pos.min()) < 0:
         rep.status = FAIL
         rep.counterexample = "witness map leaves the duplication's element set"

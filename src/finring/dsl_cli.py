@@ -76,7 +76,7 @@ from .reports import (
     VerificationReport,
     reports_to_json,
 )
-from .rings import FiniteRng, direct_product, galois_field, trunc_poly, zmod
+from .rings import FiniteRng, characteristic, direct_product, galois_field, trunc_poly, zmod
 from .subobjects import (
     all_ideals,
     ideal_as_rng,
@@ -683,6 +683,9 @@ def generate_catalog(seed: int, budget: int) -> str:
     hom_names: list[tuple[str, str, str, RingHom]] = []
     for a_name, _, A in hom_sources:
         for b_name, _, B in hom_sources:
+            # f(1) = 1 gives char(A) * 1 = 0 in B, so char(B) | char(A)
+            if characteristic(A) % characteristic(B):
+                continue
             for k, h in enumerate(enumerate_homs(A, B, unital=True, cap=8)):
                 hname = f"h_{a_name}_{b_name}_{k}"
                 images = ", ".join(str(int(x)) for x in h.map)
@@ -768,12 +771,11 @@ def generate_catalog(seed: int, budget: int) -> str:
 
     lines.append("# pullback criteria")
     lines.append("check retraction_criterion(h_R2_R2_0, h_R4_R2_0);")
-    pair_pool = []
-    for hname1, a1, b1, _ in hom_names:
-        for hname2, a2, b2, _ in hom_names:
-            if b1 == b2 and hname1 <= hname2:
-                pair_pool.append((hname1, hname2))
-    pair_pool = sorted(set(pair_pool))
+    by_codomain: dict[str, list[str]] = {}
+    for hname, _, b_name, _ in hom_names:
+        by_codomain.setdefault(b_name, []).append(hname)
+    pair_pool = sorted({(h1, h2) for names in by_codomain.values()
+                        for h1 in names for h2 in names if h1 <= h2})
     pairs = rng.sample(pair_pool, min(8, len(pair_pool)))
     for h1, h2 in sorted(pairs):
         lines.append(f"check kernel_identity({h1}, {h2});")

@@ -23,7 +23,8 @@ class InvalidParameter(FinringError):
 
 
 class SizeGuardExceeded(FinringError):
-    """A construction or search would exceed the configured size guard."""
+    """A construction or search would exceed the configured size guard, or
+    index a product whose codes do not fit int64."""
 
 
 class MissingIdentity(FinringError):

@@ -926,6 +926,15 @@ def _code(digits, dims: Sequence[int], dtype=np.int64):
     return code
 
 
+def _code_space(dims: Sequence[int]) -> int:
+    """The number of mixed-radix codes over `dims`, refused from 2^63 on,
+    where int64 codes would wrap."""
+    size = math.prod(dims)
+    if size >= 1 << 63:
+        raise SizeGuardExceeded(f"code space {size} of the flat product exceeds int64")
+    return size
+
+
 def _positions(members: np.ndarray, codes):
     """The index of each of `codes` in the strictly increasing `members`,
     -1 where it is missing."""
@@ -950,15 +959,16 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     meets every axiom that quantifies over all elements, and a finite subset
     closed under + is a subgroup (x, 2x, 3x, ... returns to 0), so it holds
     the negatives too. `additive_gens`, positions in the subset (or a
-    callable, see `FiniteRng`), is the caller's generating set of it."""
+    callable, see `FiniteRng`), is the caller's generating set of it. A
+    product with 2^63 codes or more is refused by `_code_space`."""
     factors = list(factors)
     dims = [f.order for f in factors]
-    size = math.prod(dims)
+    size = _code_space(dims)
     codes = np.asarray(codes, dtype=np.int64)
     m = codes.size
     if m == 0:
         raise InvalidParameter("subset must be nonempty")
-    if size >= 1 << 63 or codes[0] < 0 or codes[-1] >= size or (codes[1:] <= codes[:-1]).any():
+    if codes[0] < 0 or codes[-1] >= size or (codes[1:] <= codes[:-1]).any():
         raise InvalidParameter("subset codes must increase strictly inside the product")
     if m > config.size_guard():
         raise SizeGuardExceeded(f"order {m} exceeds size guard {config.size_guard()}")

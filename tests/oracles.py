@@ -670,3 +670,25 @@ def least_preimages(values, n: int) -> list[int]:
     for i, v in enumerate(values):
         first.setdefault(int(v), i)
     return [first.get(v, -1) for v in range(n)]
+
+
+def n_amalgam_via_power(f, J, n: int):
+    """The n-fold amalgam as it was built before `n_amalgam` went through
+    the flat product: the power ring B^n, the diagonal hom A -> B^n, and the
+    `amalgam` of that hom along the ideal J^n of B^n. Returns the Amalgam,
+    whose ring has order |A| * |J|^n inside A x B^n."""
+    import numpy as np
+    from finring.amalgamation import amalgam
+    from finring.morphisms import RingHom
+    from finring.rings import _code, _digits, direct_product
+    from finring.subobjects import Ideal
+
+    B = f.codomain
+    power = direct_product([B] * n, name=f"{B.name}^{n}")
+    dims = (B.order,) * n
+    diag = RingHom(f.domain, power, _code([f.map] * n, dims), unital=True,
+                   name=f"diag^{n}({f.name})")
+    mask = np.ones(power.order, dtype=bool)
+    for digit in _digits(np.arange(power.order), dims):
+        mask &= J.members[digit]
+    return amalgam(diag, Ideal(power, mask), f"amalg^{n}({f.name},{J.size})")

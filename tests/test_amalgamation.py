@@ -38,10 +38,16 @@ from finring.amalgamation import (
     split_sequence_check,
 )
 from finring.dsl_cli import evaluate, parse
-from finring.errors import FinringError, HypothesisViolated, InvalidParameter, MalformedTable
+from finring.errors import (
+    FinringError,
+    HypothesisViolated,
+    InvalidParameter,
+    MalformedTable,
+    SizeGuardExceeded,
+)
 from finring.morphisms import RingHom, enumerate_homs, identity_hom, verify_iso
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS
-from finring.rings import FiniteRng, direct_product, is_reduced, zmod
+from finring.rings import FiniteRng, direct_product, is_reduced, trunc_poly, zmod
 from finring.subobjects import (
     ideal_as_rng,
     ideal_from_generators,
@@ -49,7 +55,13 @@ from finring.subobjects import (
     zero_ideal,
 )
 
-from oracles import amalgam_pairs, is_domain, nilpotent_set, pullback_pairs
+from oracles import (
+    amalgam_pairs,
+    is_domain,
+    n_amalgam_via_power,
+    nilpotent_set,
+    pullback_pairs,
+)
 
 
 def _pairs_set(am):
@@ -250,6 +262,75 @@ def test_iter_iso_small_cases():
         assert rep.witness("left_order") == str(order)
     with pytest.raises(HypothesisViolated):
         iter_iso_check(identity_hom(r), ideal, 1)
+
+
+def _n_amalgam_bases():
+    z4, z6, z8 = zmod(4), zmod(6), zmod(8)
+    p23 = direct_product([zmod(2), zmod(3)])
+    t = trunc_poly(zmod(2), 1, 2)
+    return {
+        "id(zmod(4)) along (2)": (identity_hom(z4), ideal_from_generators(z4, [2])),
+        "id(zmod(6)) along (3)": (identity_hom(z6), ideal_from_generators(z6, [3])),
+        "zmod(8) -> zmod(4) along (2)": (
+            RingHom(z8, z4, np.arange(8) % 4, unital=True, name="reduce"),
+            ideal_from_generators(z4, [2])),
+        "id(product(zmod(2), zmod(3))) along ((1,0))": (
+            identity_hom(p23), ideal_from_generators(p23, [p23.index_of("(1,0)")])),
+        "id(trunc_poly(zmod(2), 1, 2)) along (X)": (
+            identity_hom(t), ideal_from_generators(t, [t.index_of("X")])),
+    }
+
+
+@pytest.mark.parametrize("base", list(_n_amalgam_bases()))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_n_amalgam_matches_the_power_ring_construction(base, n):
+    f, J = _n_amalgam_bases()[base]
+    new, old = n_amalgam(f, J, n), n_amalgam_via_power(f, J, n)
+    assert new.ring.order == old.ring.order == f.domain.order * J.size ** n
+    assert np.array_equal(new.ring.add, old.ring.add)
+    assert np.array_equal(new.ring.mul, old.ring.mul)
+    assert (new.ring.zero, new.ring.one) == (old.ring.zero, old.ring.one)
+    # the same elements in the same order: (a, b_1..b_n) against (a, code of b in B^n)
+    a, *b = new.coords.T
+    code = np.zeros_like(a)
+    for col in b:
+        code = code * f.codomain.order + col
+    assert np.array_equal(np.stack([a, code], axis=1), old.pairs)
+    # the carried S generates (R, +)
+    reached = np.zeros(new.ring.order, dtype=bool)
+    reached[new.ring.zero] = True
+    while True:
+        grown = reached.copy()
+        grown[new.ring.add[np.flatnonzero(reached)][:, new.ring.additive_gens]] = True
+        if (grown == reached).all():
+            break
+        reached = grown
+    assert reached.all()
+
+
+def test_iterated_iso_runs_where_only_the_power_ring_exceeded_the_guard():
+    # the 3-fold amalgam has order 512; B^3 has order 262,144
+    (rep,) = evaluate(parse("check iterated_iso(id(zmod(64)), gen(zmod(64); 32), 3);"))
+    assert rep.status == PASS
+    assert rep.witness("left_order") == "512"
+    assert rep.witness("witness_is_bijective_hom") == "True"
+
+
+def test_n_amalgam_beyond_an_int64_code_space_is_refused_by_name():
+    # order 2 * 2^11 = 4096 fits the guard, but the flat product
+    # (zmod(2), B, ..., B) with eleven B of order 2048 has 2^122 codes
+    script = ('ring B = trunc_poly(zmod(2), 1, 10);\n'
+              'hom f = map(zmod(2) -> B; 0, 1024);\n'
+              'check iterated_iso(f, gen(B; "X^10"), 11);\n')
+    (rep,) = evaluate(parse(script))
+    assert rep.status == HYPOTHESIS_NOT_MET
+    assert rep.witness("note") == f"code space {2 ** 122} of the flat product exceeds int64"
+    B = trunc_poly(zmod(2), 1, 10)
+    f = RingHom(zmod(2), B, [0, B.one], unital=True)
+    J = ideal_from_generators(B, [B.index_of("X^10")])
+    with pytest.raises(SizeGuardExceeded, match="code space"):
+        n_amalgam(f, J, 11)
+    assert n_amalgam(f, J, 5).ring.order == 64  # 2 * 2048^5 codes fit
 
 
 def test_retraction_criterion_positive():

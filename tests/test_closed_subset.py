@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finring.amalgamation import pullback
-from finring.errors import InvalidParameter
+from finring.errors import InvalidParameter, SizeGuardExceeded
 from finring.morphisms import enumerate_homs
 from finring.rings import (
     closed_subset,
@@ -143,3 +143,8 @@ def test_closed_subset_refusals():
     for codes in ([0, 0, 2], [2, 0], [0, 16]):
         with pytest.raises(InvalidParameter, match="increase strictly"):
             closed_subset([z4, z4], codes)
+    # codes are int64: a product of 2^63 codes is refused by name, not as
+    # unsorted codes, and one of 2^62 still works
+    with pytest.raises(SizeGuardExceeded, match=f"code space {2 ** 63} of the flat product"):
+        closed_subset([zmod(2)] * 63, [0])
+    assert closed_subset([zmod(2)] * 62, [0]).order == 1

@@ -16,6 +16,7 @@ import finring
 from finring.dsl_cli import (
     Evaluator,
     REGISTRY,
+    _catalog_rings,
     evaluate,
     generate_catalog,
     main,
@@ -28,7 +29,9 @@ from finring.errors import (
     TypeMismatch,
     UnknownName,
 )
+from finring.morphisms import enumerate_homs
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS, strip_timing
+from finring.rings import characteristic, zmod
 
 
 def test_tokenizer_tracks_positions_and_comments():
@@ -233,6 +236,20 @@ CATALOG_SHA256 = {
 def test_catalog_text_is_pinned(seed, budget):
     text = generate_catalog(seed, budget)
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[seed, budget]
+
+
+def test_catalog_skips_only_hom_searches_that_cannot_succeed():
+    # generate_catalog skips the pair (A, B) when char(B) does not divide
+    # char(A); every skipped search must find nothing and be exhausted
+    sources = [ring for _, _, ring in _catalog_rings(256) if ring.order <= 12] + [zmod(1)]
+    skipped = 0
+    for A in sources:
+        for B in sources:
+            if characteristic(A) % characteristic(B):
+                search = enumerate_homs(A, B, unital=True)
+                assert not search.found and search.exhausted, (A.name, B.name)
+                skipped += 1
+    assert skipped > len(sources) ** 2 // 2
 
 
 @pytest.mark.parametrize("budget", [2, 4, 8, 11])
