@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,17 +38,12 @@ from .morphisms import (
 )
 from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .rings import (
+    FiberProduct,
     FiniteRng,
-    _additive_generators,
-    _code,
-    _code_space,
-    _digits,
     _distinct,
     _first_at,
-    _positions,
     _sub,
     characteristic,
-    closed_subset,
     from_structure,
     is_domain,
     is_reduced,
@@ -226,11 +220,11 @@ class Amalgam:
     """The subring {(a, f(a)+j)} of A x B with its canonical maps.
 
     embed sends a to (a, f(a)); proj_base and proj_target are the coordinate
-    projections. The other presentations are built on first access and then
-    kept: `dotted`, the abstract presentation A dotted-plus J, with
-    `dotted_iso`, its transport onto the pair representation;
-    `residue_pullback`, the pullback over B/J; and `target_image`, which
-    makes f(A)+J a ring.
+    projections; `fiber` is `n_amalgam`'s, which places a pair in the ring.
+    The other presentations are built on first access and then kept:
+    `dotted`, the abstract presentation A dotted-plus J, with `dotted_iso`,
+    its transport onto the pair representation; `residue_pullback`, the
+    pullback over B/J; and `target_image`, which makes f(A)+J a ring.
     """
 
     ring: FiniteRng
@@ -239,6 +233,7 @@ class Amalgam:
     hom: RingHom
     ideal: Ideal
     pairs: np.ndarray
+    fiber: FiberProduct
     embed: RingHom
     proj_base: RingHom
     proj_target: RingHom
@@ -261,13 +256,10 @@ class Amalgam:
 
         Not validated here: the `dotted_presentation` check verifies it.
         """
-        A, B, J = self.base, self.target, self.ideal
-        enc = self.pairs[:, 0] * B.order + self.pairs[:, 1]
-        dotted_enc = (
-            np.repeat(np.arange(A.order, dtype=np.int64), J.size) * B.order
-            + _sub(B.add, self.hom.map, J.indices).ravel()
-        )
-        return RingHom(self.dotted.ring, self.ring, np.searchsorted(enc, dotted_enc),
+        A, J = self.base, self.ideal
+        pairs = np.stack([np.repeat(np.arange(A.order), J.size),
+                          _sub(self.target.add, self.hom.map, J.indices).ravel()], axis=1)
+        return RingHom(self.dotted.ring, self.ring, self.fiber.position(pairs),
                        unital=True, name="dotted_to_pairs", check=False)
 
     @cached_property
@@ -290,57 +282,28 @@ def amalgam_pair_encoding(f: RingHom, J: Ideal) -> np.ndarray:
     return (np.arange(f.domain.order, dtype=np.int64)[:, None] * f.codomain.order + cols).ravel()
 
 
-class NAmalgam(NamedTuple):
-    """An n-fold amalgam and the flat coordinates (a, b_1, ..., b_n) of its
-    elements, one row each, as indices in the factors A, B, ..., B."""
-
-    ring: FiniteRng
-    coords: np.ndarray
-
-
-def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> NAmalgam:
+def n_amalgam(f: RingHom, J: Ideal, n: int, name: str | None = None) -> FiberProduct:
     """The amalgam of the diagonal hom A -> B^n along J^n: the elements
     (a, f(a)+j_1, ..., f(a)+j_n), |A| * |J|^n of them in lexicographic
-    order, as the `closed_subset` of the flat product (A, B, ..., B); B^n
-    is never built. `amalgam` is the case n = 1.
+    order, as the fiber product `pair_subring` of A against n copies of B
+    over the cosets f(a)+J; B^n is never built. `amalgam` is the case n = 1.
 
-    Closed, as J^n is an ideal of B^n and the diagonal a unital hom. As
-    j -> f(a)+j is injective, listing f(a)+J increasingly in each
-    coordinate lists distinct codes in order. Each element is the graph
-    (a, f(a), ..., f(a)) plus one j_k per coordinate, so the graph of S_A
-    and, over a = 0, S_J in each coordinate generate it additively."""
+    Keys are least coset members, a -> min(f(a)+J) and b -> min(b+J) on
+    f(A)+J: f followed by the projection onto B/J, and that projection,
+    homs on the subring f(A)+J that holds every b_k. Off f(A)+J each b is
+    its own key, which no a reaches. Every a has a fiber, so S is carried:
+    S_A, each with the least of f(a)+J, and S_J in each coordinate."""
     A, B = f.domain, f.codomain
     if J.ring != B:
         raise AmbientMismatch("ideal does not live in the hom's codomain")
     if not f.unital:
         raise InvalidParameter("amalgam requires a unital hom")
-    if n < 1:
-        raise InvalidParameter("n_amalgam needs n >= 1")
-    if n > config.size_guard():  # before any power of n
-        raise SizeGuardExceeded(f"n = {n} exceeds size guard {config.size_guard()}")
-    if A.order * J.size ** n > config.size_guard():
-        raise SizeGuardExceeded(
-            f"order {A.order * J.size ** n} exceeds size guard {config.size_guard()}")
-    dims = [A.order] + [B.order] * n
-    _code_space(dims)  # before any code is computed
-    cols = np.sort(_sub(B.add, f.map, J.indices), axis=1)  # row a: f(a)+J, increasing
-    ranks = [A.order] + [J.size] * n
-    t = _digits(np.arange(A.order * J.size ** n), ranks)  # (a, rank of each b_k in row a)
-    coords = np.stack([t[0]] + [cols[t[0], tk] for tk in t[1:]], axis=1)
-
-    def additive_gens() -> np.ndarray:
-        # built when the ring's S is first read; S_J greedy on (J, +)
-        idx, sa = J.indices, A.additive_gens
-        zero = int(np.searchsorted(idx, B.zero))
-        s_j = _additive_generators(np.searchsorted(idx, _sub(B.add, idx, idx)), zero)
-        graph = np.argmax(cols == f.map[:, None], axis=1)[sa]
-        return np.concatenate([_code([sa] + [graph] * n, ranks)] + [
-            _code([A.zero] + [zero] * k + [s_j] + [zero] * (n - 1 - k), ranks)
-            for k in range(n)])
-
-    ring = closed_subset([A] + [B] * n, _code(coords.T, dims), "amalgam",
-                         name or f"amalg^{n}({f.name},{J.size})", additive_gens=additive_gens)
-    return NAmalgam(ring, coords)
+    cols = _sub(B.add, f.map, J.indices)  # row a: f(a)+J
+    least = cols.min(axis=1)
+    beta = np.arange(B.order)
+    beta[cols] = least[:, None]
+    return pair_subring(A, [B], least, beta, n, "amalgam",
+                        name or f"amalg^{n}({f.name},{J.size})")
 
 
 def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
@@ -360,16 +323,15 @@ def amalgam(f: RingHom, J: Ideal, name: str | None = None) -> Amalgam:
       (f(a)+j)(f(a')+j').
     """
     A, B = f.domain, f.codomain
-    ring, pairs = n_amalgam(f, J, 1, name or f"amalg({f.name},{J.size})")
-    # the graph row a sits at a*|J| + (rank of f(a) among f(a)+J)
-    rank = np.argmax(pairs[:, 1].reshape(A.order, J.size) == f.map[:, None], axis=1)
-    embed = RingHom(A, ring, np.arange(A.order) * J.size + rank, unital=True,
-                    name="graph_embedding", check=False)
+    fiber = n_amalgam(f, J, 1, name or f"amalg({f.name},{J.size})")
+    ring, pairs = fiber.ring, fiber.coords
+    embed = RingHom(A, ring, fiber.position(np.stack([np.arange(A.order), f.map], axis=1)),
+                    unital=True, name="graph_embedding", check=False)
     proj_base = RingHom(ring, A, pairs[:, 0], unital=True, name="proj_base",
                         check=False)
     proj_target = RingHom(ring, B, pairs[:, 1], unital=True, name="proj_target",
                           check=False)
-    return Amalgam(ring, A, B, f, J, pairs, embed, proj_base, proj_target)
+    return Amalgam(ring, A, B, f, J, pairs, fiber, embed, proj_base, proj_target)
 
 
 def duplication(A: FiniteRng, I: Ideal, name: str | None = None) -> Amalgam:
@@ -480,13 +442,10 @@ def iter_iso_check(f: RingHom, J: Ideal, n: int,
     expected = A.order * J.size ** n
     rep.add("expected_order", expected)
 
-    dims = [A.order] + [B.order] * (n - 1)
-    enc_small = _code(small.coords.T, dims)
-    d1 = _positions(enc_small, _code(big.coords[:, :-1].T, dims))
-    d2 = _positions(enc_small, _code(np.delete(big.coords, -2, axis=1).T, dims))
-    enc_dup = dup.pairs[:, 0] * small.ring.order + dup.pairs[:, 1]
-    pos = _positions(enc_dup, d1 * small.ring.order + d2)
-    if min(d1.min(), d2.min(), pos.min()) < 0:
+    d1 = small.position(big.coords[:, :-1])
+    d2 = small.position(np.delete(big.coords, -2, axis=1))
+    pos = dup.fiber.position(np.stack([d1, d2], axis=1))  # -1 where d1 or d2 is
+    if pos.min() < 0:
         rep.status = FAIL
         rep.counterexample = "witness map leaves the duplication's element set"
         return rep
@@ -540,15 +499,15 @@ def pullback(alpha: RingHom, beta: RingHom, name: str | None = None) -> Pullback
     homs form a closed subset of the product, so `pair_subring` builds the
     ring without validating it again, and the projections are the
     coordinate projections of the product restricted to it: unital homs,
-    not validated either."""
+    not validated either. The pairs come from `_join`, apart from the
+    kernel's listing, so `pull_identity` compares two computations."""
     if alpha.codomain != beta.codomain:
         raise AmbientMismatch("pullback requires a common codomain")
     if not (alpha.unital and beta.unital):
         raise InvalidParameter("pullback requires unital homs")
-    ring, arr = pair_subring(
-        alpha.domain, beta.domain, _join(alpha.map, beta.map), "pullback",
-        name or f"pullback({alpha.name},{beta.name})",
-    )
+    ring = pair_subring(alpha.domain, [beta.domain], alpha.map, beta.map, 1, "pullback",
+                        name or f"pullback({alpha.name},{beta.name})").ring
+    arr = _join(alpha.map, beta.map)
     proj_left = RingHom(ring, alpha.domain, arr[:, 0], unital=True, name="proj_left",
                         check=False)
     proj_right = RingHom(ring, beta.domain, arr[:, 1], unital=True, name="proj_right",
@@ -601,27 +560,25 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
     Ipre = Ideal(A, am.ideal.members[am.hom.map])
     AI, rho = quotient_ring(A, Ipre)
     rep_idx = _first_at(rho.map, AI.order)
-    enc_am = am.pairs[:, 0] * B.order + am.pairs[:, 1]
 
     def collapses(left: FiniteRng, u: np.ndarray, v: np.ndarray,
                   to_left: np.ndarray, name: str) -> bool:
-        # u on `left` and v on A x B as codes over left x B/J; the fiber
-        # product's (l, (a, b)) is code (l*|A| + a)*|B| + b over the flat
-        # factors (left, A, B), so no product ring is built
+        # u on `left` and v on all of A x B, at the flat code a*|B| + b, as
+        # codes over left x B/J, so no product ring is built; the kernel's
+        # listing must be the join's, and (l, a, b) goes to the amalgam's (a, b)
+        fp = pair_subring(left, [A, B], u, v, 1, "pullback", name)
         pairs = _join(u, v)
-        ring = closed_subset([left, A, B], pairs[:, 0] * v.size + pairs[:, 1],
-                             "pullback", name)
-        pos = _positions(enc_am, pairs[:, 1])
-        if not (np.array_equal(pairs[:, 0], to_left[pairs[:, 1] // B.order])
-                and (pos >= 0).all() and ring.order == am.ring.order):
+        a, b = np.divmod(pairs[:, 1], B.order)
+        pos = am.fiber.position(np.stack([a, b], axis=1))
+        if not (np.array_equal(fp.coords, pairs) and np.array_equal(pairs[:, 0], to_left[a])
+                and (pos >= 0).all() and fp.ring.order == am.ring.order):
             return False
-        return verify_iso(RingHom(ring, am.ring, pos, unital=True,
+        return verify_iso(RingHom(fp.ring, am.ring, pos, unital=True,
                                   name=f"collapse {name}", check=False))
 
     # u: a -> (a, f(a)+J), v: (a, b) -> (a, b+J), and the maps they induce
     # over A/I x B/J (well defined, as f(I) lies in J) are products of homs
-    # coordinate by coordinate, so homs, and each fiber product is a closed
-    # subset of the flat product
+    # coordinate by coordinate, so homs, and each fiber product is closed
     a_codes = np.arange(A.order, dtype=np.int64)
     ok1 = collapses(A, a_codes * BJ.order + f_res.map,
                     (a_codes[:, None] * BJ.order + pi.map).ravel(), a_codes, "over A x B/J")

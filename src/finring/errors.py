@@ -23,8 +23,7 @@ class InvalidParameter(FinringError):
 
 
 class SizeGuardExceeded(FinringError):
-    """A construction or search would exceed the configured size guard, or
-    index a product whose codes do not fit int64."""
+    """A construction or search would exceed the configured size guard."""
 
 
 class MissingIdentity(FinringError):

@@ -13,7 +13,8 @@ localizations); it decides them from an additive generating set S and the
 products of its members, the structure constants, in O(|S|^3) cells
 (`from_structure`, under zmod, galois_field, trunc_poly and dotted sums);
 or it builds the ring from valid rings in a way that provably keeps every
-axiom (products and closed subsets here, quotients in `subobjects`).
+axiom (products, closed subsets and fiber products here, quotients in
+`subobjects`).
 
 Each ring carries an additive generating set S (`FiniteRng.additive_gens`)
 for the deciders that work on generators: the constructor's own where it
@@ -25,8 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -926,20 +927,10 @@ def _code(digits, dims: Sequence[int], dtype=np.int64):
     return code
 
 
-def _code_space(dims: Sequence[int]) -> int:
-    """The number of mixed-radix codes over `dims`, refused from 2^63 on,
-    where int64 codes would wrap."""
-    size = math.prod(dims)
-    if size >= 1 << 63:
-        raise SizeGuardExceeded(f"code space {size} of the flat product exceeds int64")
-    return size
-
-
-def _positions(members: np.ndarray, codes):
-    """The index of each of `codes` in the strictly increasing `members`,
-    -1 where it is missing."""
-    p = np.minimum(np.searchsorted(members, codes), members.size - 1)
-    return np.where(members[p] == codes, p, -1)
+def _tuple_labels(factors: Sequence[FiniteRng], digits) -> list[str]:
+    """"(a,b,...)" for each element, from its index in each factor."""
+    coords = [list(map(f.labels.__getitem__, d.tolist())) for f, d in zip(factors, digits)]
+    return ["(" + ",".join(row) + ")" for row in zip(*coords)]
 
 
 def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subring",
@@ -959,28 +950,25 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     meets every axiom that quantifies over all elements, and a finite subset
     closed under + is a subgroup (x, 2x, 3x, ... returns to 0), so it holds
     the negatives too. `additive_gens`, positions in the subset (or a
-    callable, see `FiniteRng`), is the caller's generating set of it. A
-    product with 2^63 codes or more is refused by `_code_space`."""
+    callable, see `FiniteRng`), is the caller's generating set of it.
+
+    Positions come from one dense array over the product's codes, refused
+    above the size guard before anything is allocated."""
     factors = list(factors)
     dims = [f.order for f in factors]
-    size = _code_space(dims)
+    size = math.prod(dims)
+    if size > config.size_guard():
+        raise SizeGuardExceeded(f"code space {size} exceeds size guard {config.size_guard()}")
     codes = np.asarray(codes, dtype=np.int64)
     m = codes.size
     if m == 0:
         raise InvalidParameter("subset must be nonempty")
     if codes[0] < 0 or codes[-1] >= size or (codes[1:] <= codes[:-1]).any():
         raise InvalidParameter("subset codes must increase strictly inside the product")
-    if m > config.size_guard():
-        raise SizeGuardExceeded(f"order {m} exceeds size guard {config.size_guard()}")
-    # positions of product codes, -1 outside the subset: a dense array while
-    # it is no larger than one table, a binary search otherwise
-    if size <= m * m:
-        dense = np.full(size, -1, dtype=_TABLE_DTYPE)
-        dense[codes] = np.arange(m, dtype=_TABLE_DTYPE)
-        position = dense.__getitem__
-    else:
-        position = partial(_positions, codes)
-    zero = int(position(_code([f.zero for f in factors], dims)))
+    # positions of product codes, -1 outside the subset
+    position = np.full(size, -1, dtype=_TABLE_DTYPE)
+    position[codes] = np.arange(m, dtype=_TABLE_DTYPE)
+    zero = int(position[_code([f.zero for f in factors], dims)])
     if zero < 0:
         raise InvalidParameter("subset must contain zero")
     # codes stay below size, so int32 arithmetic is exact up to 2^31
@@ -991,17 +979,15 @@ def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subrin
     for table, op, word in ((add, "add", "addition"), (mul, "mul", "multiplication")):
         for i0, i1 in _blocks(m):
             cells = (_sub(getattr(f, op), d[i0:i1], d) for f, d in zip(factors, digits))
-            block = position(_code(cells, dims, dtype))
+            block = position[_code(cells, dims, dtype)]
             if (block < 0).any():
                 raise InvalidParameter(f"subset is not closed under {word}")
             table[i0:i1] = block
     has_one = all(f.has_one for f in factors)
-    one = int(position(_code([f.one for f in factors], dims))) if has_one else -1
-    if labels is None:
-        coords = [list(map(f.labels.__getitem__, d.tolist())) for f, d in zip(factors, digits)]
-        labels = ["(" + ",".join(row) + ")" for row in zip(*coords)]
+    one = int(position[_code([f.one for f in factors], dims)]) if has_one else -1
     return FiniteRng(
-        add, mul, zero, one if one >= 0 else _detect_one(add, mul), labels,
+        add, mul, zero, one if one >= 0 else _detect_one(add, mul),
+        labels if labels is not None else _tuple_labels(factors, digits),
         provenance=provenance, check=False, additive_gens=additive_gens,
         name=name or "sub(" + ",".join(f.name for f in factors) + f",{m})",
     )
@@ -1022,24 +1008,120 @@ def restrict_to_subset(
     return closed_subset([ring], idx, provenance, name, labels=[ring.labels[i] for i in idx])
 
 
-def pair_subring(
-    left: FiniteRng,
-    right: FiniteRng,
-    pairs: np.ndarray,
-    provenance: str,
-    name: str,
-    additive_gens=None,
-) -> tuple[FiniteRng, np.ndarray]:
-    """The `closed_subset` of left x right given by an (m, 2) array of index
-    pairs, without materializing the full product. Pairs are deduplicated
-    and sorted lexicographically; labels are "(a,b)". Returns the ring and
-    the sorted (m, 2) pair array; `additive_gens` are positions in it."""
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if arr.size == 0:
-        raise InvalidParameter("pair set must be nonempty")
-    if arr.min() < 0 or arr[:, 0].max() >= left.order or arr[:, 1].max() >= right.order:
-        raise InvalidParameter("pair index out of range")
-    # a*|right| + b orders pairs lexicographically, so `_distinct` sorts them
-    codes = _distinct(arr[:, 0] * right.order + arr[:, 1], left.order * right.order)
-    ring = closed_subset([left, right], codes, provenance, name, additive_gens=additive_gens)
-    return ring, np.stack(np.divmod(codes, right.order), axis=1)
+class FiberProduct(NamedTuple):
+    """A `pair_subring`: its ring, the rows (x, y_1, ..., y_n) of its elements
+    in order, and `position`, the index of such rows, -1 for one off the ring."""
+
+    ring: FiniteRng
+    coords: np.ndarray
+    position: Callable[..., np.ndarray]
+
+
+def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: int,
+                 provenance: str, name: str) -> FiberProduct:
+    """The fiber product {(x, y_1, ..., y_n) : alpha[x] = beta[y_k] for all
+    k} of `left` and n copies of the product of the `right` factors (y a
+    mixed-radix code over them) in lexicographic order, for integer keys
+    alpha, beta >= 0; labels and identity as in `closed_subset`. A stable
+    argsort of the y whose fiber alpha reaches gives rank[y], y's place in
+    its fiber (-1 for none), and idx[x] counts the x' < x with a fiber (-1
+    for none); an element sits at the code (idx[x], rank[y_1], ...,
+    rank[y_n]). So nothing is searched: a cell is T[x, x'] K^n plus
+    U[y_k, y'_k] K^(n-k) over k, with T = idx[x op x'] and U = rank[y op y']
+    over the x and y that occur, every pair of them in some cell. Not
+    validated again: alpha and beta are homs to one ring on subrings holding
+    every coordinate, so the solutions are closed, as in `closed_subset`,
+    and each fiber is a coset of Ker beta, of one size K (checked); a cell
+    outside every reached fiber (-1 in T or U) raises.
+
+    When every x has a fiber, S is carried: (s, y_s, ..., y_s) for s in the
+    S of `left`, y_s first in its fiber, and S of the fiber F over 0 (a
+    subgroup) in each slot, the others 0. An element minus the sum of the
+    (s, y_s, ...) that make up its x is (0, f_1, ..., f_n) with each f_k in F."""
+    guard, right = config.size_guard(), list(right)
+    dims = [f.order for f in right]
+    alpha, beta = np.asarray(alpha, dtype=np.int64), np.asarray(beta, dtype=np.int64)
+    if n < 1:
+        raise InvalidParameter("a fiber product needs n >= 1")
+    if n > guard:  # before any power of n
+        raise SizeGuardExceeded(f"n = {n} exceeds size guard {guard}")
+    reached = np.zeros(int(max(alpha.max(), beta.max())) + 1, dtype=bool)
+    reached[alpha] = True
+    ys = np.flatnonzero(reached[beta])  # fiber by fiber: key k's from start[k] on
+    ys = ys[np.argsort(beta[ys], kind="stable")]
+    count = np.bincount(beta[ys], minlength=reached.size)
+    start, sizes = np.cumsum(count) - count, count[alpha]
+    fiber, xs = int(sizes.max()), np.flatnonzero(sizes)
+    if (sizes[xs] != fiber).any():
+        raise InvalidParameter("the fibers alpha reaches differ in size")
+    order = xs.size * fiber ** n
+    if order > guard:
+        raise SizeGuardExceeded(f"order {order} exceeds size guard {guard}")
+    rank = np.full(beta.size, -1, dtype=_TABLE_DTYPE)
+    idx = np.full(left.order, -1, dtype=_TABLE_DTYPE)
+    rank[ys], idx[xs] = np.arange(ys.size) - start[beta[ys]], np.arange(xs.size)
+    t = _digits(np.arange(order), [xs.size] + [fiber] * n)
+    slots = [start[alpha[xs[t[0]]]] + tk for tk in t[1:]]  # where each y_k is in ys
+    coords = np.stack([xs[t[0]]] + [ys[s] for s in slots], axis=1)
+
+    def position(rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        x, y = rows[:, 0], rows[:, 1:]
+        inside = (rows >= 0).all(axis=1) & (idx[x] >= 0) & (beta[y] == alpha[x, None]).all(axis=1)
+        return np.where(inside, idx[x] * fiber ** n + rank[y] @ fiber ** np.arange(n)[::-1], -1)
+
+    def ends(e: str) -> tuple[int, int, int]:  # x, y and the index of (0, ..., 0) or (1, ..., 1)
+        x, y = getattr(left, e), 0
+        for f in right:
+            y = y * f.order + getattr(f, e)
+        at = int(idx[x] * fiber ** n + rank[y] * sum(fiber ** k for k in range(n)))
+        return x, y, at if idx[x] >= 0 and alpha[x] == beta[y] else -1
+
+    zero = ends("zero")[2]
+    one = ends("one")[2] if all(f.has_one for f in [left] + right) else -1
+    if zero < 0:
+        raise InvalidParameter("fiber product must contain zero")
+    # with n = 1 and alpha one-to-one on the x with a fiber, each y lies in
+    # one element, so U can hold that element's index, and it is the table
+    one_y, where = n == 1 and ys.size == order, rank
+    if one_y:
+        where = np.full(beta.size, -1, dtype=_TABLE_DTYPE)
+        where[coords[:, 1]] = np.arange(order)
+    y_digits = _digits(coords[:, 1] if one_y else ys, dims)
+    dtype = np.int32 if beta.size < 1 << 31 else np.int64  # holds every code over right
+
+    def fill(op: str, word: str) -> np.ndarray:
+        U = np.empty((ys.size, ys.size), dtype=_TABLE_DTYPE)
+        for i0, i1 in _blocks(ys.size):
+            cells = (_sub(getattr(f, op), d[i0:i1], d) for f, d in zip(right, y_digits))
+            U[i0:i1] = where[_code(cells, dims, dtype)]
+        # when every x has a fiber, idx is the identity and T the table of x
+        T = getattr(left, op) if xs.size == left.order else idx[_sub(getattr(left, op), xs, xs)]
+        if min(T.min(), U.min()) < 0:
+            raise InvalidParameter(f"fiber product is not closed under {word}")
+        if one_y or fiber == 1:  # or every rank is 0, and the elements are the x in order
+            return U if one_y else T
+        table = np.empty((order, order), dtype=_TABLE_DTYPE)
+        for i0, i1 in _blocks(order):
+            block = table[i0:i1]
+            block[...] = _sub(T, t[0][i0:i1], t[0])
+            for s in slots:
+                block *= fiber
+                block += _sub(U, s[i0:i1], s)
+        return table
+
+    def gens() -> np.ndarray:  # read when S is first read
+        x0, y0, at = ends("zero")
+        f = ys[start[alpha[x0]]:][:fiber]  # the fiber over 0, increasingly: ranks are places
+        cells = (_sub(g.add, d, d) for g, d in zip(right, _digits(f, dims)))
+        s_f = _additive_generators(rank[_code(cells, dims)], int(rank[y0])) - rank[y0]
+        return np.concatenate([idx[left.additive_gens] * fiber ** n] + [
+            at + s_f * fiber ** (n - 1 - k) for k in range(n)])
+
+    add, mul = fill("add", "addition"), fill("mul", "multiplication")
+    labels = _tuple_labels([left] + right * n, [coords[:, 0]] + [
+        d for y in coords[:, 1:].T for d in _digits(y, dims)])
+    ring = FiniteRng(add, mul, zero, one if one >= 0 else _detect_one(add, mul),
+                     labels, provenance=provenance, name=name, check=False,
+                     additive_gens=gens if xs.size == left.order else None)
+    return FiberProduct(ring, coords, position)

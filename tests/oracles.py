@@ -692,3 +692,82 @@ def n_amalgam_via_power(f, J, n: int):
     for digit in _digits(np.arange(power.order), dims):
         mask &= J.members[digit]
     return amalgam(diag, Ideal(power, mask), f"amalg^{n}({f.name},{J.size})")
+
+
+# -- the flat-code route ----------------------------------------------------------
+#
+# Fiber products as `rings.closed_subset` built them before `pair_subring`
+# positioned each element by its rank within a fiber: every element coded
+# over the flat product of its factors, and every table cell looked up among
+# the codes, by a dense position array while the product has at most m^2
+# codes and by binary search beyond. Kept to cross-check the kernel.
+
+
+def closed_subset_flat(factors, codes, name: str = "flat"):
+    """The subset of the flat product of `factors` with the strictly
+    increasing int64 `codes` (first factor most significant), as an
+    unvalidated rng in code order with labels "(a,b,...)"; AssertionError
+    when the subset misses 0 or is not closed."""
+    import math
+
+    import numpy as np
+    from finring.rings import FiniteRng, _blocks, _code, _detect_one, _digits, _sub
+
+    factors = list(factors)
+    dims = [f.order for f in factors]
+    size = math.prod(dims)
+    assert size < 1 << 63, "int64 codes would wrap"
+    codes = np.asarray(codes, dtype=np.int64)
+    m = codes.size
+    if size <= m * m:
+        dense = np.full(size, -1, dtype=np.int64)
+        dense[codes] = np.arange(m)
+        position = dense.__getitem__
+    else:
+        def position(c):
+            p = np.minimum(np.searchsorted(codes, c), m - 1)
+            return np.where(codes[p] == c, p, -1)
+    zero = int(position(_code([f.zero for f in factors], dims)))
+    assert zero >= 0, "subset misses zero"
+    digits = _digits(codes, dims)
+    tables = []
+    for op in ("add", "mul"):
+        table = np.empty((m, m), dtype=np.int64)
+        for i0, i1 in _blocks(m):
+            cells = (_sub(getattr(f, op), d[i0:i1], d) for f, d in zip(factors, digits))
+            table[i0:i1] = position(_code(cells, dims))
+        assert table.min() >= 0, f"subset not closed under {op}"
+        tables.append(table)
+    add, mul = tables
+    one = -1
+    if all(f.has_one for f in factors):
+        one = int(position(_code([f.one for f in factors], dims)))
+    coords = [[f.labels[i] for i in d.tolist()] for f, d in zip(factors, digits)]
+    labels = ["(" + ",".join(row) + ")" for row in zip(*coords)]
+    return FiniteRng(add, mul, zero, one if one >= 0 else _detect_one(add, mul), labels,
+                     name=name, check=False)
+
+
+def n_amalgam_via_flat_codes(f, J, n: int):
+    """The n-fold amalgam as `n_amalgam` built it over the flat product
+    (A, B, ..., B): rows (a, b_1, ..., b_n) with each b_k read from f(a)+J
+    sorted, coded over (|A|, |B|, ..., |B|). Returns the ring and the rows."""
+    import numpy as np
+    from finring.rings import _code, _digits, _sub
+
+    A, B = f.domain, f.codomain
+    cols = np.sort(_sub(B.add, f.map, J.indices), axis=1)
+    t = _digits(np.arange(A.order * J.size ** n), [A.order] + [J.size] * n)
+    coords = np.stack([t[0]] + [cols[t[0], tk] for tk in t[1:]], axis=1)
+    ring = closed_subset_flat([A] + [B] * n, _code(coords.T, [A.order] + [B.order] * n))
+    return ring, coords
+
+
+def fiber_product_via_flat_codes(left, right, alpha_map, beta_map):
+    """{(x, y) : alpha(x) = beta(y)}, x and y codes over the `left` and the
+    `right` factors, as the subset of the flat product (*left, *right): the
+    pairs by `pullback_pairs`, each coded x * |right| + y. Returns the ring
+    and the sorted pairs."""
+    pairs = sorted(pullback_pairs(list(alpha_map), list(beta_map)))
+    ring = closed_subset_flat([*left, *right], [x * len(beta_map) + y for x, y in pairs])
+    return ring, pairs

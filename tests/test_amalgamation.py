@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import finring.amalgamation
+import finring.rings
 from finring import morphisms
 from finring.amalgamation import (
     alt_pullback_checks,
@@ -43,7 +44,6 @@ from finring.errors import (
     HypothesisViolated,
     InvalidParameter,
     MalformedTable,
-    SizeGuardExceeded,
 )
 from finring.morphisms import RingHom, enumerate_homs, identity_hom, verify_iso
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -57,7 +57,9 @@ from finring.subobjects import (
 
 from oracles import (
     amalgam_pairs,
+    fiber_product_via_flat_codes,
     is_domain,
+    n_amalgam_via_flat_codes,
     n_amalgam_via_power,
     nilpotent_set,
     pullback_pairs,
@@ -308,6 +310,50 @@ def test_n_amalgam_matches_the_power_ring_construction(base, n):
     assert reached.all()
 
 
+def _same_ring(new, old):
+    assert np.array_equal(new.add, old.add) and np.array_equal(new.mul, old.mul)
+    assert (new.zero, new.one, new.labels) == (old.zero, old.one, old.labels)
+
+
+@pytest.mark.parametrize("base", list(_n_amalgam_bases()))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_n_amalgam_matches_the_flat_code_construction(base, n):
+    """The rank-positioned kernel against the flat product (A, B, ..., B)
+    looked up by codes: same elements in the same order, same tables, zero,
+    one and labels."""
+    f, J = _n_amalgam_bases()[base]
+    new = n_amalgam(f, J, n)
+    old, coords = n_amalgam_via_flat_codes(f, J, n)
+    assert np.array_equal(new.coords, coords)
+    _same_ring(new.ring, old)
+
+
+@pytest.mark.parametrize("base", [
+    "zmod(8) -> zmod(4) along (2)",
+    "id(product(zmod(2), zmod(3))) along ((1,0))",
+    "id(trunc_poly(zmod(2), 1, 2)) along (X)",
+])
+def test_alt_pullback_fiber_products_match_the_flat_code_construction(monkeypatch, base):
+    """Both fiber products of `alt_pullback_checks`, over A x B/J and over
+    A/I x B/J, against (left, A, B) coded over the flat product."""
+    built = []
+    kernel = finring.amalgamation.pair_subring
+
+    def recording(left, right, alpha, beta, *rest, **kw):
+        fp = kernel(left, right, alpha, beta, *rest, **kw)
+        built.append((left, right, alpha, beta, fp))
+        return fp
+
+    am = amalgam(*_n_amalgam_bases()[base])
+    monkeypatch.setattr(finring.amalgamation, "pair_subring", recording)
+    assert alt_pullback_checks(am).status == PASS
+    assert [len(right) for _, right, *_ in built] == [2, 2]
+    for left, right, alpha, beta, fp in built:
+        old, pairs = fiber_product_via_flat_codes([left], right, alpha.tolist(), beta.tolist())
+        assert fp.coords.tolist() == [list(p) for p in pairs]
+        _same_ring(fp.ring, old)
+
+
 def test_iterated_iso_runs_where_only_the_power_ring_exceeded_the_guard():
     # the 3-fold amalgam has order 512; B^3 has order 262,144
     (rep,) = evaluate(parse("check iterated_iso(id(zmod(64)), gen(zmod(64); 32), 3);"))
@@ -316,21 +362,28 @@ def test_iterated_iso_runs_where_only_the_power_ring_exceeded_the_guard():
     assert rep.witness("witness_is_bijective_hom") == "True"
 
 
-def test_n_amalgam_beyond_an_int64_code_space_is_refused_by_name():
-    # order 2 * 2^11 = 4096 fits the guard, but the flat product
-    # (zmod(2), B, ..., B) with eleven B of order 2048 has 2^122 codes
-    script = ('ring B = trunc_poly(zmod(2), 1, 10);\n'
-              'hom f = map(zmod(2) -> B; 0, 1024);\n'
-              'check iterated_iso(f, gen(B; "X^10"), 11);\n')
-    (rep,) = evaluate(parse(script))
-    assert rep.status == HYPOTHESIS_NOT_MET
-    assert rep.witness("note") == f"code space {2 ** 122} of the flat product exceeds int64"
-    B = trunc_poly(zmod(2), 1, 10)
-    f = RingHom(zmod(2), B, [0, B.one], unital=True)
-    J = ideal_from_generators(B, [B.index_of("X^10")])
-    with pytest.raises(SizeGuardExceeded, match="code space"):
-        n_amalgam(f, J, 11)
-    assert n_amalgam(f, J, 5).ring.order == 64  # 2 * 2048^5 codes fit
+def test_iterated_iso_passes_at_order_4096_beyond_an_int64_flat_product():
+    # order 2 * 2^11 = 4096 fits the guard, while the flat product
+    # (zmod(2), B, ..., B) with eleven B of order 2048 has 2^122 codes; the
+    # fiber product's positions never leave the ring's order. A fresh child
+    # caps its own address space, as the guard tests do
+    script = ('ring B = trunc_poly(zmod(2), 1, 10); '
+              'hom f = map(zmod(2) -> B; 0, 1024); '
+              'check iterated_iso(f, gen(B; "X^10"), 11);')
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from finring.dsl_cli import evaluate, parse; "
+        f"(rep,) = evaluate(parse({script!r})); "
+        "print(rep.status, rep.witness('left_order'), rep.witness('right_order'), "
+        "rep.witness('witness_is_bijective_hom'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["pass", "4096", "4096", "True"]
 
 
 def test_retraction_criterion_positive():
@@ -527,8 +580,8 @@ def test_amalgam_builds_s_j_on_the_first_read_of_its_generators(monkeypatch):
     """The greedy S_J runs once, when the amalgam's S is first read, and
     the S it completes generates the amalgam additively."""
     calls = []
-    greedy = finring.amalgamation._additive_generators
-    monkeypatch.setattr(finring.amalgamation, "_additive_generators",
+    greedy = finring.rings._additive_generators
+    monkeypatch.setattr(finring.rings, "_additive_generators",
                         lambda *args: calls.append(args) or greedy(*args))
     r = zmod(16)
     ring = duplication(r, ideal_from_generators(r, [4])).ring
