@@ -484,9 +484,8 @@ def _join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     lexicographic order: a sort-merge join on one stable argsort of right,
     so each run of equal keys lists its b in increasing order."""
     order = np.argsort(right, kind="stable")
-    keys = right[order]
-    lo = np.searchsorted(keys, left, side="left")
-    counts = np.searchsorted(keys, left, side="right") - lo
+    lo, hi = np.searchsorted(right[order], [left, left + 1])  # keys are integers
+    counts = hi - lo
     a = np.repeat(np.arange(left.size, dtype=np.int64), counts)
     # pair t of row a lies (t - first pair of a) past lo[a] in the run
     shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
@@ -566,8 +565,8 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
         # u on `left` and v on all of A x B, at the flat code a*|B| + b, as
         # codes over left x B/J, so no product ring is built; the kernel's
         # listing must be the join's, and (l, a, b) goes to the amalgam's (a, b)
+        pairs = _join(u, v)  # its sort is dropped before the tables are filled
         fp = pair_subring(left, [A, B], u, v, 1, "pullback", name)
-        pairs = _join(u, v)
         a, b = np.divmod(pairs[:, 1], B.order)
         pos = am.fiber.position(np.stack([a, b], axis=1))
         if not (np.array_equal(fp.coords, pairs) and np.array_equal(pairs[:, 0], to_left[a])

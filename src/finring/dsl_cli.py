@@ -435,7 +435,9 @@ def parse(text: str) -> Script:
 
 class Evaluator:
     """Builds values for expressions, memoized by canonical rendering so a
-    ring or amalgam referenced by many checks is constructed once."""
+    ring or amalgam referenced by many checks is constructed once. `evaluate`
+    drops each value after its last check (`_last_uses`), so a run's peak
+    memory is that of the instances live at once, not their sum."""
 
     def __init__(self, definitions: tuple[Definition, ...]):
         self.defs = {d.name: d.expr for d in definitions}
@@ -585,20 +587,40 @@ REGISTRY: dict[str, CheckSpec] = {
 }
 
 
+def _keys(expr: Expr, defs: dict[str, Expr], walked: dict[str, set[str]]) -> set[str]:
+    """The Evaluator keys that building `expr` may touch, as `_build` walks
+    it; `walked` holds them by key, so each key is walked once."""
+    key = expr.render()
+    if key not in walked:
+        sub = [defs[key]] if expr.form == "ref" else [a for a in expr.args if isinstance(a, Expr)]
+        walked[key] = {key}.union(*(_keys(a, defs, walked) for a in sub))
+    return walked[key]
+
+
+def _last_uses(checks: tuple[CheckStmt, ...], defs: dict[str, Expr]) -> list[list[str]]:
+    """For each check, the keys that no later check touches."""
+    walked: dict[str, set[str]] = {}
+    last = {key: i for i, chk in enumerate(checks)
+            for arg in chk.args for key in _keys(arg, defs, walked)}
+    done: list[list[str]] = [[] for _ in checks]
+    for key, i in last.items():
+        done[i].append(key)
+    return done
+
+
 def evaluate(script: Script) -> list[VerificationReport]:
     """One report per check statement, in order. Precondition failures
     surface as hypothesis_not_met reports; non-library failures are wrapped
     with the check's source location and raised."""
     ev = Evaluator(script.definitions)
     reports: list[VerificationReport] = []
-    for chk in script.checks:
+    for chk, done in zip(script.checks, _last_uses(script.checks, ev.defs)):
         spec = REGISTRY[chk.name]
         keys = [a.render() for a in chk.args]
         instance = ", ".join(keys)
         start = time.perf_counter()
         try:
-            vals = [ev.value(a, key) for a, key in zip(chk.args, keys)]
-            rep = spec.runner(vals, instance)
+            rep = spec.runner([ev.value(a, k) for a, k in zip(chk.args, keys)], instance)
         except FinringError as exc:
             rep = VerificationReport(chk.name, instance, HYPOTHESIS_NOT_MET)
             rep.add("note", str(exc))
@@ -609,6 +631,8 @@ def evaluate(script: Script) -> list[VerificationReport]:
             raise EvaluationError(f"{chk.name}: {exc}", chk.line, chk.col) from exc
         rep.millis = (time.perf_counter() - start) * 1000.0
         reports.append(rep)
+        for key in done:
+            ev.cache.pop(key, None)
     return reports
 
 

@@ -156,8 +156,8 @@ class FiniteRng:
         self._neg: np.ndarray | None = None
         self._nil: np.ndarray | None = None
         self._char: int | None = None
-        # caches that live exactly as long as the ring: generator sets,
-        # completion programs by seed tuple, quotients by ideal mask
+        # caches that live exactly as long as the ring and never refer back to
+        # it: generator sets, programs by seed tuple, quotients by ideal mask
         self._gens: dict[bool, tuple[int, ...]] = {}
         self._programs: dict[tuple[int, ...], object] = {}
         self._quotients: dict[bytes, tuple] = {}
@@ -1047,10 +1047,11 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
         raise SizeGuardExceeded(f"n = {n} exceeds size guard {guard}")
     reached = np.zeros(int(max(alpha.max(), beta.max())) + 1, dtype=bool)
     reached[alpha] = True
-    ys = np.flatnonzero(reached[beta])  # fiber by fiber: key k's from start[k] on
+    ys = np.flatnonzero(reached[beta])  # fiber by fiber, increasing in each
     ys = ys[np.argsort(beta[ys], kind="stable")]
-    count = np.bincount(beta[ys], minlength=reached.size)
-    start, sizes = np.cumsum(count) - count, count[alpha]
+    keys = beta[ys]
+    start, end = np.searchsorted(keys, [alpha, alpha + 1])  # x's fiber: ys[start[x]:end[x]]
+    sizes = end - start
     fiber, xs = int(sizes.max()), np.flatnonzero(sizes)
     if (sizes[xs] != fiber).any():
         raise InvalidParameter("the fibers alpha reaches differ in size")
@@ -1059,9 +1060,9 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
         raise SizeGuardExceeded(f"order {order} exceeds size guard {guard}")
     rank = np.full(beta.size, -1, dtype=_TABLE_DTYPE)
     idx = np.full(left.order, -1, dtype=_TABLE_DTYPE)
-    rank[ys], idx[xs] = np.arange(ys.size) - start[beta[ys]], np.arange(xs.size)
+    rank[ys], idx[xs] = np.arange(ys.size) - np.searchsorted(keys, keys), np.arange(xs.size)
     t = _digits(np.arange(order), [xs.size] + [fiber] * n)
-    slots = [start[alpha[xs[t[0]]]] + tk for tk in t[1:]]  # where each y_k is in ys
+    slots = [start[xs[t[0]]] + tk for tk in t[1:]]  # where each y_k is in ys
     coords = np.stack([xs[t[0]]] + [ys[s] for s in slots], axis=1)
 
     def position(rows) -> np.ndarray:
@@ -1112,7 +1113,7 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
 
     def gens() -> np.ndarray:  # read when S is first read
         x0, y0, at = ends("zero")
-        f = ys[start[alpha[x0]]:][:fiber]  # the fiber over 0, increasingly: ranks are places
+        f = ys[start[x0]:][:fiber]  # the fiber over 0, increasingly: ranks are places
         cells = (_sub(g.add, d, d) for g, d in zip(right, _digits(f, dims)))
         s_f = _additive_generators(rank[_code(cells, dims)], int(rank[y0])) - rank[y0]
         return np.concatenate([idx[left.additive_gens] * fiber ** n] + [

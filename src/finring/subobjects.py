@@ -310,8 +310,9 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     """The quotient by an ideal together with the projection hom.
 
     Classes are ordered by least ambient representative; labels are the
-    representative label in brackets. Both are cached on `ring` by the
-    ideal's mask, so they live as long as the ring does.
+    representative label in brackets. The quotient and the class map are
+    cached on `ring` by the ideal's mask and the projection is built per
+    call, so no cycle holds `ring`: it is freed when its last reference goes.
 
     The quotient is not validated again. Every `Ideal` is a closure, a
     kernel, a preimage, a sum or intersection of ideals, a principal ideal
@@ -338,9 +339,9 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
             provenance="quotient", name=f"quot({ring.name},{I.size})", check=False,
             additive_gens=class_of[ring.additive_gens],
         )
-        proj = RingHom(ring, quotient, class_of, unital=ring.has_one, check=False)
-        ring._quotients[key] = (quotient, proj)
-    return ring._quotients[key]
+        ring._quotients[key] = (quotient, class_of)
+    quotient, class_of = ring._quotients[key]
+    return quotient, RingHom(ring, quotient, class_of, unital=ring.has_one, check=False)
 
 
 def is_prime(I: Ideal) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import gc
 import weakref
 
 import numpy as np
@@ -174,7 +173,6 @@ def test_caches_leave_no_reference_to_their_rings(run):
     rings, result = run()
     refs = [weakref.ref(r) for r in rings]
     del rings, result
-    gc.collect()
     assert [ref() for ref in refs] == [None, None]
 
 
