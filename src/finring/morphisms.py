@@ -101,8 +101,9 @@ class RingHom:
 def _respects(fmap: np.ndarray, cols: np.ndarray, table_b: np.ndarray,
               gens: np.ndarray):
     """f(x op g) = f(x) op f(g) for every x and every g in gens, where cols
-    holds x op g (`FiniteRng._generator_columns`); one verdict per column
-    when fmap holds several maps as columns."""
+    holds x op g (`FiniteRng._generator_columns`), and f(x) op f(g) is read
+    off the rows of the few f(g), op being commutative; one verdict per
+    column when fmap holds several maps as columns."""
     rhs = _sub(table_b, fmap[gens], fmap).T if fmap.ndim == 1 else table_b[fmap[:, None], fmap[gens]]
     return (fmap[cols] == rhs).all(axis=(0, 1))
 

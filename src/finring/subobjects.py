@@ -310,9 +310,8 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     """The quotient by an ideal together with the projection hom.
 
     Classes are ordered by least ambient representative; labels are the
-    representative label in brackets. The quotient and the class map are
-    cached on `ring` by the ideal's mask and the projection is built per
-    call, so no cycle holds `ring`: it is freed when its last reference goes.
+    representative label in brackets. The quotient and class map are cached
+    on `ring` by mask, the projection made per call: no cycle holds `ring`.
 
     The quotient is not validated again. Every `Ideal` is a closure, a
     kernel, a preimage, a sum or intersection of ideals, a principal ideal
