@@ -270,7 +270,8 @@ class Amalgam:
     @cached_property
     def target_image(self) -> tuple[RingHom, RingHom]:
         """proj_target corestricted onto its image f(A)+J, a ring named
-        "image_plus_ideal", and the inclusion of f(A)+J into B."""
+        "image_plus_ideal" unless f(A)+J is all of B, and the inclusion of
+        f(A)+J into B."""
         return corestrict(self.proj_target, name="image_plus_ideal")
 
 

@@ -11,10 +11,10 @@ establishes them in one of three ways, and says which in its docstring:
 it machine-checks the tables (`validate_rng`, for raw tables and
 localizations); it decides them from an additive generating set S and the
 products of its members, the structure constants, in O(|S|^3) cells
-(`from_structure`, under zmod, galois_field, trunc_poly and dotted sums);
-or it builds the ring from valid rings in a way that provably keeps every
-axiom (products, closed subsets and fiber products here, quotients in
-`subobjects`).
+(`from_structure`, under zmod, galois_field, trunc_poly, direct products
+and dotted sums); or it builds the ring from valid rings in a way that
+provably keeps every axiom (closed subsets and fiber products here,
+quotients in `subobjects`).
 
 Each ring carries an additive generating set S (`FiniteRng.additive_gens`)
 for the deciders that work on generators: the constructor's own where it
@@ -608,7 +608,7 @@ def from_structure(factors: Sequence[int | FiniteRng], products, one: int | None
     for Z/d generated by 1, a ring for its group generated by its
     `additive_gens`) whose product extends the structure constants
     `products` biadditively. Elements are mixed-radix codes over the factor
-    orders, first factor most significant, as in `closed_subset`; the
+    orders, first factor most significant, as in `direct_product`; the
     generators S are each factor's in its own digit, the others at zero,
     and products[i][j] is the code of s_i s_j.
 
@@ -682,19 +682,25 @@ def zmod(n: int) -> FiniteRng:
 def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> FiniteRng:
     """Componentwise product. Element order is lexicographic in the factor
     indices with the first factor most significant; labels are "(a,b,...)".
-    It is the `closed_subset` that holds every code, and its additive
-    generators are the factors', each in its own coordinate."""
+    It is the `from_structure` ring over the factors' additive groups, with
+    each factor's S in its own digit. Its constants, the componentwise
+    products of those generators, are block-diagonal: generators of two
+    factors multiply to 0, and two of one factor to their product there.
+    The identity is the code of the factors' ones when each has one."""
     factors = list(factors)
     if not factors:
         raise InvalidParameter("direct_product needs at least one factor")
-    order = math.prod(f.order for f in factors)
+    dims = [f.order for f in factors]
+    order = math.prod(dims)
     if order > config.size_guard():
         raise SizeGuardExceeded(f"product order exceeds size guard {config.size_guard()}")
     if name is None:
         name = "product(" + ",".join(f.name for f in factors) + ")"
-    _, gens = _embedded_gens([f.order for f in factors], [f.zero for f in factors],
-                             [f.additive_gens for f in factors])
-    return closed_subset(factors, np.arange(order), "product", name, additive_gens=gens)
+    _, gens = _embedded_gens(dims, [f.zero for f in factors], [f.additive_gens for f in factors])
+    products = _code((f.mul[d[:, None], d] for f, d in zip(factors, _digits(gens, dims))), dims)
+    one = int(_code([f.one for f in factors], dims)) if all(f.has_one for f in factors) else None
+    labels = _tuple_labels(factors, _digits(np.arange(order), dims))
+    return from_structure(factors, products, one, labels, "product", name)
 
 
 def _monomials(num_vars: int, max_deg: int) -> list[tuple[int, ...]]:
@@ -933,79 +939,39 @@ def _tuple_labels(factors: Sequence[FiniteRng], digits) -> list[str]:
     return ["(" + ",".join(row) + ")" for row in zip(*coords)]
 
 
-def closed_subset(factors: Sequence[FiniteRng], codes, provenance: str = "subring",
-                  name: str | None = None, labels: Sequence[str] | None = None,
-                  additive_gens=None) -> FiniteRng:
-    """The elements of the product of `factors` with the given mixed-radix
-    codes (first factor most significant, as in `direct_product`), as a
-    standalone rng in code order. `codes` must be strictly increasing.
-    Labels are "(a,b,...)" unless given. The identity is the product's when
-    the subset holds it, and otherwise any element that acts as one (an
-    ideal can be unital on its own).
-
-    Not validated again. The product is a valid rng: every axiom is an
-    identity between the operations, which act coordinate by coordinate, so
-    it holds because it holds in every factor. The subset is checked here
-    to hold 0 and to be closed under + and *; a closed subset of a valid rng
-    meets every axiom that quantifies over all elements, and a finite subset
-    closed under + is a subgroup (x, 2x, 3x, ... returns to 0), so it holds
-    the negatives too. `additive_gens`, positions in the subset (or a
-    callable, see `FiniteRng`), is the caller's generating set of it.
-
-    Positions come from one dense array over the product's codes, refused
-    above the size guard before anything is allocated."""
-    factors = list(factors)
-    dims = [f.order for f in factors]
-    size = math.prod(dims)
-    if size > config.size_guard():
-        raise SizeGuardExceeded(f"code space {size} exceeds size guard {config.size_guard()}")
-    codes = np.asarray(codes, dtype=np.int64)
-    m = codes.size
-    if m == 0:
-        raise InvalidParameter("subset must be nonempty")
-    if codes[0] < 0 or codes[-1] >= size or (codes[1:] <= codes[:-1]).any():
-        raise InvalidParameter("subset codes must increase strictly inside the product")
-    # positions of product codes, -1 outside the subset
-    position = np.full(size, -1, dtype=_TABLE_DTYPE)
-    position[codes] = np.arange(m, dtype=_TABLE_DTYPE)
-    zero = int(position[_code([f.zero for f in factors], dims)])
-    if zero < 0:
-        raise InvalidParameter("subset must contain zero")
-    # codes stay below size, so int32 arithmetic is exact up to 2^31
-    dtype = np.int32 if size < 1 << 31 else np.int64
-    digits = _digits(codes, dims)
-    add = np.empty((m, m), dtype=_TABLE_DTYPE)
-    mul = np.empty((m, m), dtype=_TABLE_DTYPE)
-    for table, op, word in ((add, "add", "addition"), (mul, "mul", "multiplication")):
-        for i0, i1 in _blocks(m):
-            cells = (_sub(getattr(f, op), d[i0:i1], d) for f, d in zip(factors, digits))
-            block = position[_code(cells, dims, dtype)]
-            if (block < 0).any():
-                raise InvalidParameter(f"subset is not closed under {word}")
-            table[i0:i1] = block
-    has_one = all(f.has_one for f in factors)
-    one = int(position[_code([f.one for f in factors], dims)]) if has_one else -1
-    return FiniteRng(
-        add, mul, zero, one if one >= 0 else _detect_one(add, mul),
-        labels if labels is not None else _tuple_labels(factors, digits),
-        provenance=provenance, check=False, additive_gens=additive_gens,
-        name=name or "sub(" + ",".join(f.name for f in factors) + f",{m})",
-    )
-
-
-def restrict_to_subset(
-    ring: FiniteRng,
-    indices: np.ndarray,
-    provenance: str,
-    name: str,
-) -> FiniteRng:
+def restrict_to_subset(ring: FiniteRng, indices: np.ndarray, provenance: str,
+                       name: str) -> FiniteRng:
     """The subset, sorted by ambient index, as a standalone rng with inherited
-    labels: the `closed_subset` of the one factor `ring`."""
+    labels; the identity is the ring's when the subset holds it, else any
+    element that acts as one (an ideal can be unital on its own). Each table
+    is one gather through the subset's positions, by row blocks. Not
+    validated again: the subset is checked to hold 0 and to be closed under
+    + and *, so it meets every axiom that quantifies over all elements, and
+    a finite subset closed under + holds the negatives too (x, 2x, 3x, ...
+    returns to 0)."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= ring.order):
+    if idx.size == 0:
+        raise InvalidParameter("subset must be nonempty")
+    if idx.min() < 0 or idx.max() >= ring.order:
         raise InvalidParameter("subset index out of range")
     idx = _distinct(idx, ring.order)
-    return closed_subset([ring], idx, provenance, name, labels=[ring.labels[i] for i in idx])
+    pos = np.full(ring.order, -1, dtype=_TABLE_DTYPE)  # -1 outside the subset
+    pos[idx] = np.arange(idx.size)
+    if pos[ring.zero] < 0:
+        raise InvalidParameter("subset must contain zero")
+    tables = []
+    for source, word in ((ring.add, "addition"), (ring.mul, "multiplication")):
+        table = np.empty((idx.size, idx.size), dtype=_TABLE_DTYPE)
+        for i0, i1 in _blocks(idx.size):
+            table[i0:i1] = pos[_sub(source, idx[i0:i1], idx)]
+        if table.min() < 0:
+            raise InvalidParameter(f"subset is not closed under {word}")
+        tables.append(table)
+    add, mul = tables
+    one = int(pos[ring.one]) if ring.has_one else -1
+    return FiniteRng(add, mul, int(pos[ring.zero]), one if one >= 0 else _detect_one(add, mul),
+                     [ring.labels[i] for i in idx], provenance=provenance, name=name,
+                     check=False)
 
 
 class FiberProduct(NamedTuple):
@@ -1022,7 +988,8 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
     """The fiber product {(x, y_1, ..., y_n) : alpha[x] = beta[y_k] for all
     k} of `left` and n copies of the product of the `right` factors (y a
     mixed-radix code over them) in lexicographic order, for integer keys
-    alpha, beta >= 0; labels and identity as in `closed_subset`. A stable
+    alpha, beta >= 0, labeled "(x,y_1,...)" with the identity as in
+    `restrict_to_subset`. A stable
     argsort of the y whose fiber alpha reaches gives rank[y], y's place in
     its fiber (-1 for none), and idx[x] counts the x' < x with a fiber (-1
     for none); an element sits at the code (idx[x], rank[y_1], ...,
@@ -1030,7 +997,7 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
     U[y_k, y'_k] K^(n-k) over k, with T = idx[x op x'] and U = rank[y op y']
     over the x and y that occur, every pair of them in some cell. Not
     validated again: alpha and beta are homs to one ring on subrings holding
-    every coordinate, so the solutions are closed, as in `closed_subset`,
+    every coordinate, so the solutions are closed (see `restrict_to_subset`),
     and each fiber is a coset of Ker beta, of one size K (checked); a cell
     outside every reached fiber (-1 in T or U) raises.
 

@@ -260,24 +260,10 @@ def _same_ambient(a, b) -> None:
         raise AmbientMismatch("operands live in different ambient rings")
 
 
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    _same_ambient(I, J)
-    return Ideal(I.ring, _sum_mask(I.ring, I.members, J.members))
-
-
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     _same_ambient(I, J)
     prods = _sub(I.ring.mul, I.indices, J.indices)
     return ideal_from_generators(I.ring, _distinct(prods, I.ring.order))
-
-
-def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    _same_ambient(I, J)
-    return Ideal(I.ring, I.members & J.members)
-
-
-def is_idempotent_ideal(I: Ideal) -> bool:
-    return ideal_product(I, I) == I
 
 
 def nilradical(ring: FiniteRng) -> Ideal:
@@ -314,7 +300,7 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     on `ring` by mask, the projection made per call: no cycle holds `ring`.
 
     The quotient is not validated again. Every `Ideal` is a closure, a
-    kernel, a preimage, a sum or intersection of ideals, a principal ideal
+    kernel, a preimage, a sum of ideals, a principal ideal
     R·x of a unital ring (`_principal`), or checked by
     `ideal_from_members`, so the class map is a congruence and the quotient
     is the image of a valid ring under a surjective hom, where every axiom
@@ -448,14 +434,16 @@ def subring_generated(ring: FiniteRng, seed, include_one: bool = True) -> Subrng
 
 
 def _as_ring(sub: MaskedSubset, name: str, unital: bool):
-    """The subset as a rng (see `restrict_to_subset`) plus its inclusion,
-    which is not validated: it is the identity of `sub.ring` restricted to a
-    closed subset, so it keeps + and *, and 1 when `unital` says the subset
-    holds the ambient identity."""
+    """The subset as a rng (see `restrict_to_subset`), or `sub.ring` itself
+    when the subset is all of it, plus its inclusion, which is not
+    validated: it is the identity of `sub.ring` restricted to a closed
+    subset, so it keeps + and *, and 1 when `unital` says the subset holds
+    the ambient identity."""
     from .morphisms import RingHom
 
     idx = sub.indices
-    ring = restrict_to_subset(sub.ring, idx, "subring", name)
+    whole = idx.size == sub.ring.order
+    ring = sub.ring if whole else restrict_to_subset(sub.ring, idx, "subring", name)
     return ring, RingHom(ring, sub.ring, idx.astype(np.int64), unital=unital, check=False)
 
 

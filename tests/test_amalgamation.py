@@ -451,6 +451,8 @@ def test_canonical_isos_on_surjective_instance():
     rep = canonical_isos(am)
     assert rep.status == PASS
     assert rep.witness("hom_surjective") == "True"
+    # f(A)+J is all of B, so the corestriction keeps B rather than a copy
+    assert am.target_image[0].codomain is am.target
     assert "valid=True" in rep.witness("mod_embedded_ideal_iso_base_quotient")
     assert "valid=True" in rep.witness("mod_zero_cross_J_iso_base")
     assert "valid=True" in rep.witness("surjective_variant_iso_target_quotient")
@@ -460,9 +462,12 @@ def test_canonical_isos_on_non_surjective_instance():
     p22 = direct_product([zmod(2), zmod(2)])
     diag = enumerate_homs(zmod(2), p22)[0]  # 1 -> (1,1), not onto
     ideal = ideal_from_generators(p22, [p22.index_of("(1,0)")])
-    rep = canonical_isos(amalgam(diag, ideal))
+    am = amalgam(diag, ideal)
+    rep = canonical_isos(am)
     assert rep.status == PASS
     assert rep.witness("hom_surjective") == "False"
+    # f is not onto, but f(A)+J is all of B
+    assert am.target_image[0].codomain is am.target
 
 
 def test_alt_pullbacks_validate():

@@ -1,10 +1,11 @@
-"""`closed_subset`, its two callers and the fiber-product kernel
+"""Products, closed subsets of them and the fiber-product kernel
 `pair_subring` against the naive oracles.
 
 Draws are closed subsets of products of one to three small factors:
 subrings and ideals generated from random seeds, and pullbacks of random
-homs. `closed_subset` reads every position from one dense array over the
-product's codes; `pullback` goes through `pair_subring`, which places each
+homs. `direct_product` is presented by structure constants, and
+`restrict_to_subset` reads a subset's tables in one gather through its
+positions; `pullback` goes through `pair_subring`, which places each
 element by its rank within a fiber, and is also checked against the
 flat-code route it replaced (`closed_subset_flat`, which still looks small
 subsets of larger products up by binary search).
@@ -20,12 +21,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finring.amalgamation import pullback
-from finring.config import guard_limit
-from finring.errors import InvalidParameter, SizeGuardExceeded
+from finring.errors import InvalidParameter
 from finring.morphisms import enumerate_homs
 from finring.rings import (
     _distinct,
-    closed_subset,
     direct_product,
     galois_field,
     pair_subring,
@@ -126,14 +125,12 @@ def test_closed_subsets_match_the_naive_oracle(picks, kind, seeds, include_one):
            else ideal_from_generators(product, gens))
     codes = sub.indices
     members = _tuples(codes, factors)
-    _agrees(closed_subset(factors, codes), factors, members)
-    _agrees(restrict_to_subset(product, codes, "subring", "sub"), factors, members,
-            labels=[product.labels[c] for c in codes])
+    _agrees(restrict_to_subset(product, codes, "subring", "sub"), factors, members)
     if len(factors) == 2:
         # the pair codes a*|right| + b, sorted by `_distinct`
         right = factors[1].order
         pair_codes = _distinct([a * right + b for a, b in members], product.order)
-        _agrees(closed_subset(factors, pair_codes), factors, members)
+        _agrees(restrict_to_subset(product, pair_codes, "subring", "sub"), factors, members)
         pairs = np.stack(np.divmod(pair_codes, right), axis=1)
         assert pairs.tolist() == [list(m) for m in members]
 
@@ -170,17 +167,18 @@ def test_closed_subset_refuses_exactly_what_the_oracle_refuses(picks, data):
     size = math.prod(f.order for f in factors)
     codes = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1)))
     members = _tuples(codes, factors)
+    product = direct_product(factors)
     if closed_subset_naive(factors, members) is None:
         with pytest.raises(InvalidParameter):
-            closed_subset(factors, codes)
+            restrict_to_subset(product, codes, "subring", "sub")
     else:
-        _agrees(closed_subset(factors, codes), factors, members)
+        _agrees(restrict_to_subset(product, codes, "subring", "sub"), factors, members)
 
 
 def test_closed_subset_refusals():
     z4, gf4 = zmod(4), galois_field(4)
     with pytest.raises(InvalidParameter, match="must contain zero"):
-        closed_subset([z4, z4], range(1, 16))
+        restrict_to_subset(direct_product([z4, z4]), range(1, 16), "subring", "sub")
     with pytest.raises(InvalidParameter, match="not closed under addition"):
         restrict_to_subset(z4, [0, 1], "subring", "sub")
     for indices in ([0, 4], [-1, 0]):
@@ -189,18 +187,6 @@ def test_closed_subset_refusals():
     # {0, w} is an additive subgroup of GF(4), but w*w = w+1
     w = gf4.index_of("w")
     with pytest.raises(InvalidParameter, match="not closed under multiplication"):
-        closed_subset([gf4], [0, w])
+        restrict_to_subset(gf4, [0, w], "subring", "sub")
     with pytest.raises(InvalidParameter, match="nonempty"):
-        closed_subset([z4], [])
-    for codes in ([0, 0, 2], [2, 0], [0, 16]):
-        with pytest.raises(InvalidParameter, match="increase strictly"):
-            closed_subset([z4, z4], codes)
-    # positions come from one dense array over the product's codes: a
-    # product of exactly the guard's codes builds, one more code is refused
-    # by name before anything is allocated
-    z3, z5 = zmod(3), zmod(5)
-    with guard_limit(60):
-        assert closed_subset([z3, z4, z5], [0]).order == 1
-    with guard_limit(59):
-        with pytest.raises(SizeGuardExceeded, match="code space 60 exceeds size guard 59"):
-            closed_subset([z3, z4, z5], [0])
+        restrict_to_subset(z4, [], "subring", "sub")

@@ -13,9 +13,9 @@ from finring.rings import (
     _distinct,
     _first_at,
     _sub,
-    closed_subset,
     direct_product,
     galois_field,
+    restrict_to_subset,
     trunc_poly,
     zmod,
 )
@@ -117,9 +117,9 @@ def _ideal_pairs(left, right, I, J, rng) -> np.ndarray:
 @pytest.mark.parametrize("ring", RINGS, ids=IDS)
 def test_pair_subring_codes_match_sorted_set(ring):
     """The pair codes a*|right| + b of a subring of ring x right, sorted by
-    `_distinct` and built by `closed_subset`, on both paths of `_distinct`:
-    0 x 0 in ring x zmod(64) takes the sort from order 3 on, ring x zmod(2)
-    the scatter; then random ideals I x J."""
+    `_distinct` and restricted to in the product, on both paths of
+    `_distinct`: 0 x 0 in ring x zmod(64) takes the sort from order 3 on,
+    ring x zmod(2) the scatter; then random ideals I x J."""
     rng = np.random.default_rng(ring.order + 7)
     cases = [(zmod(64), 0, 0), (zmod(2), -1, -1)]
     cases += [(right, None, None) for right in (zmod(2), zmod(64), ring) for _ in range(3)]
@@ -130,7 +130,8 @@ def test_pair_subring_codes_match_sorted_set(ring):
         J = right_ideals[rng.integers(len(right_ideals)) if j is None else j]
         pairs = _ideal_pairs(ring, right, I, J, rng)
         codes = _distinct(pairs[:, 0] * right.order + pairs[:, 1], ring.order * right.order)
-        assert closed_subset([ring, right], codes).order == I.size * J.size
+        sub = restrict_to_subset(direct_product([ring, right]), codes, "subring", "sub")
+        assert sub.order == I.size * J.size
         arr = np.stack(np.divmod(codes, right.order), axis=1)
         assert arr.tolist() == [list(p) for p in sorted(set(map(tuple, pairs.tolist())))]
         paths.add(ring.order * right.order <= 32 * len(pairs))

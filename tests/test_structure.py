@@ -168,7 +168,8 @@ def test_constants_of_the_wrong_shape_or_range_are_refused():
 # then validates the ring with `validate_rng` (3-4 s for gf(4096) on a
 # 2-CPU host, so the child's own timeout is wider). Meanwhile the same
 # families at order 1024 are compared with the reference builders here.
-GUARD_ORDER = ("galois_field(4096)", "trunc_poly(zmod(2), 1, 11)", "trunc_poly(zmod(4), 2, 2)")
+GUARD_ORDER = ("galois_field(4096)", "trunc_poly(zmod(2), 1, 11)", "trunc_poly(zmod(4), 2, 2)",
+               "direct_product([zmod(2)] * 12)", "direct_product([zmod(64)] * 2)")
 BUILD_LIMIT_S = 20
 
 
@@ -181,7 +182,8 @@ def test_guard_order_rings_build_fast_and_validate():
             code = (
                 "import resource, time; "
                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-                "from finring.rings import galois_field, trunc_poly, validate_rng, zmod; "
+                "from finring.rings import direct_product, galois_field, trunc_poly, "
+                "validate_rng, zmod; "
                 f"t = time.perf_counter(); r = {expr}; t = time.perf_counter() - t; "
                 "print(r.order, t, validate_rng(r).ok)"
             )

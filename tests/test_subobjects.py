@@ -12,10 +12,7 @@ from finring.subobjects import (
     all_ideals,
     ideal_as_rng,
     ideal_from_generators,
-    ideal_intersection,
     ideal_product,
-    ideal_sum,
-    is_idempotent_ideal,
     is_maximal,
     is_prime,
     is_radical,
@@ -82,11 +79,10 @@ def test_ideal_lattice_of_z12():
 def test_ideal_arithmetic_on_z12():
     r = zmod(12)
     two, three = ideal_from_generators(r, [2]), ideal_from_generators(r, [3])
-    assert ideal_sum(two, three).size == 12          # gcd 1
-    assert ideal_intersection(two, three).size == 2  # lcm 6
-    assert ideal_product(two, three).size == 2       # (6)
-    assert not is_idempotent_ideal(two)
-    assert is_idempotent_ideal(ideal_from_generators(r, [4]))  # (4)^2 = (4)
+    assert ideal_product(two, three).size == 2  # (6)
+    assert ideal_product(two, two) != two       # (4)
+    four = ideal_from_generators(r, [4])
+    assert ideal_product(four, four) == four    # (4)^2 = (4)
 
 
 def test_nilradical_of_z12():
@@ -197,3 +193,5 @@ def test_zero_and_unit_ideals():
     assert zero_ideal(r).size == 1 and zero_ideal(r).is_zero
     assert unit_ideal(r).size == 6
     assert not is_prime(unit_ideal(r))
+    # the whole ring as a rng is the ring itself, not a copy
+    assert ideal_as_rng(unit_ideal(r))[0] is r
