@@ -203,14 +203,6 @@ def d_plus_m(T: FiniteRng, D: Subrng, Ms: list[Ideal],
 # -- localization preimage rings --------------------------------------------------------
 
 
-def _unit_inverses(ring: FiniteRng) -> np.ndarray:
-    """Index of each element's multiplicative inverse, -1 for non-units."""
-    hits = ring.mul == ring.one
-    inv = np.argmax(hits, axis=1).astype(np.int64)
-    inv[~hits.any(axis=1)] = -1
-    return inv
-
-
 def _preimage_ring(rep: VerificationReport, lam: RingHom, E: Ideal, I: Ideal,
                    C_mask: np.ndarray, contraction: str) -> tuple[FiniteRng, bool]:
     """The part `cpi_prime` and `cpi_ideal` share: the preimage C_mask is
@@ -294,17 +286,11 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
     regQ = regular_elements_mod(Q, zero_ideal(Q))
     tot, lamQ = localization(Q, regQ)
     rep.add("total_quotient_order", tot.order)
-    inv_loc = _unit_inverses(loc)
-    inv_tot = _unit_inverses(tot)
-    s_loc = lam.map[S]
-    s_tot = lamQ.map[piI.map[S]]
-    if (inv_loc[s_loc] < 0).any() or (inv_tot[s_tot] < 0).any():
-        raise InvariantViolated("a denominator failed to invert")
-    e_idx = _sub(loc.mul, lam.map, inv_loc[s_loc])
-    t_idx = _sub(tot.mul, lamQ.map[piI.map], inv_tot[s_tot])
+    # lam is onto (see `localization`), so a/1 -> (a + I)/1 is the whole map
+    reduced = lamQ.map[piI.map]
     phi_map = np.full(loc.order, -1, dtype=np.int64)
-    phi_map[e_idx.ravel()] = t_idx.ravel()
-    well_defined = (phi_map >= 0).all() and (phi_map[e_idx] == t_idx).all()
+    phi_map[lam.map] = reduced
+    well_defined = (phi_map >= 0).all() and (phi_map[lam.map] == reduced).all()
     rep.add("fraction_reduction_well_defined", bool(well_defined))
     if not well_defined:
         rep.status = FAIL

@@ -23,7 +23,6 @@ from .errors import (
     InvalidParameter,
     InvariantViolated,
     NotMultiplicativelyClosed,
-    SizeGuardExceeded,
 )
 from .reports import ValidationReport, Violation
 from .rings import (
@@ -364,6 +363,13 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
     (a,s) and (a',s') are identified when t(as' - a's) = 0 for some t in S.
     Classes are labeled and ordered by their lexicographically least pair.
     Returns (localized ring, canonical hom a -> a/1).
+
+    The ring is finite, so each s in S has an idempotent power e in S, and
+    e/1 = 1: s is a unit in eA, and a/s = (a t)/1 for t the inverse of s
+    there. So a -> a/1 is onto, and the localization is A/K, K its kernel:
+    the a that some t in S kills. The class of a/s is the class of
+    a times the inverse class of s, one n x |S| gather, the least pair of
+    each class one `_first_at` over it: O(n·|S| + n²).
     """
     from .morphisms import RingHom
 
@@ -381,42 +387,27 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
         raise NotMultiplicativelyClosed(
             f"{ring.labels[s_idx[i]]} * {ring.labels[s_idx[j]]} leaves the set"
         )
-    npairs = ring.order * s_idx.size
-    if npairs > config.size_guard():
-        raise SizeGuardExceeded(
-            f"{npairs} fraction pairs exceed size guard {config.size_guard()}"
-        )
     killed = annihilator_killed(ring, s_idx)
-    pairs = np.array(
-        [(a, int(s)) for a in range(ring.order) for s in s_idx], dtype=np.int64
-    )
-    cross = _sub(ring.mul, pairs[:, 0], pairs[:, 1])
-    diff = ring.sub(cross, cross.T)
-    eq = killed[diff]
-    rep_idx = eq.argmax(axis=1)
-    is_rep = rep_idx == np.arange(npairs)  # the least pair of its class
-    class_of_pair = (np.cumsum(is_rep) - 1)[rep_idx]
-    rep_pairs = pairs[is_rep]
-    ra, rs = rep_pairs[:, 0], rep_pairs[:, 1]
-    lookup = np.full((ring.order, ring.order), -1, dtype=np.int64)
-    lookup[pairs[:, 0], pairs[:, 1]] = class_of_pair
-    ra_rs = _sub(ring.mul, ra, rs)
-    num = ring.add[ra_rs, ra_rs.T]
-    den = _sub(ring.mul, rs, rs)
-    add = lookup[num, den]
-    mul = lookup[_sub(ring.mul, ra, ra), den]
-    if (add < 0).any() or (mul < 0).any():
-        raise InvariantViolated("a sum or product of fractions has no class")
-    zero = int(lookup[ring.zero, one])
-    one_cls = int(lookup[one, one])
-    labels = [f"{ring.labels[a]}/{ring.labels[s]}" for a, s in rep_pairs]
+    reps, class_of = coset_representatives(ring, Ideal(ring, killed))
+    units = class_of[_sub(ring.mul, s_idx, reps)] == class_of[one]
+    if not units.any(axis=1).all():
+        raise InvariantViolated("a denominator has no inverse class")
+    # row a, column j: the class of a/s_j, so the flat order is the pairs'
+    first = _first_at(class_of[ring.mul.take(reps[units.argmax(axis=1)], 1)], reps.size)
+    is_least = np.zeros(ring.order * s_idx.size, dtype=bool)
+    is_least[first] = True
+    cls = (np.cumsum(is_least)[first] - 1)[class_of]  # classes by least pair
+    reps = _first_at(cls, reps.size)
+    ra, rs = np.divmod(np.flatnonzero(is_least), s_idx.size)
+    labels = [f"{ring.labels[a]}/{ring.labels[s]}" for a, s in zip(ra, s_idx[rs])]
     localized = FiniteRng(
-        add, mul, zero, one_cls, labels,
+        cls[_sub(ring.add, reps, reps)], cls[_sub(ring.mul, reps, reps)],
+        int(cls[ring.zero]), int(cls[one]), labels,
         provenance="localization", name=f"loc({ring.name},{s_idx.size})",
     )
-    lam = RingHom(ring, localized, lookup[np.arange(ring.order), one], unital=True)
+    lam = RingHom(ring, localized, cls, unital=True)
     # kernel sanity: a/1 = 0 exactly when some t in S kills a
-    if not np.array_equal(lam.map == zero, killed):
+    if not np.array_equal(lam.map == localized.zero, killed):
         raise InvariantViolated("localization kernel mismatch")
     return localized, lam
 

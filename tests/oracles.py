@@ -771,3 +771,47 @@ def fiber_product_via_flat_codes(left, right, alpha_map, beta_map):
     pairs = sorted(pullback_pairs(list(alpha_map), list(beta_map)))
     ring = closed_subset_flat([*left, *right], [x * len(beta_map) + y for x, y in pairs])
     return ring, pairs
+
+
+# -- the fraction-pair route -------------------------------------------------------
+#
+# Localizations as `subobjects.localization` built them before it took the
+# quotient by the kernel of a -> a/1: every one of the n·|S| fraction pairs
+# compared with every other in one cross matrix, so it stops at small n·|S|.
+# Kept to cross-check the quotient route.
+
+
+def localization_by_pairs(ring, s_indices):
+    """(S^-1 A, a -> a/1) from the pairs (a, s), s in the sorted indices
+    `s_indices` (a multiplicatively closed set holding 1): (a, s) ~ (b, t)
+    when some u in S kills at - bs; classes ordered by their least pair,
+    labeled "a/s", and validated with the canonical hom."""
+    import numpy as np
+    from finring.morphisms import RingHom
+    from finring.rings import FiniteRng, _sub
+    from finring.subobjects import annihilator_killed
+
+    one = ring.require_one()
+    s_idx = np.asarray(sorted(set(int(s) for s in s_indices)), dtype=np.int64)
+    killed = annihilator_killed(ring, s_idx)
+    pairs = np.array([(a, int(s)) for a in range(ring.order) for s in s_idx], dtype=np.int64)
+    cross = _sub(ring.mul, pairs[:, 0], pairs[:, 1])
+    eq = killed[ring.sub(cross, cross.T)]
+    rep_idx = eq.argmax(axis=1)
+    is_rep = rep_idx == np.arange(len(pairs))  # the least pair of its class
+    class_of_pair = (np.cumsum(is_rep) - 1)[rep_idx]
+    rep_pairs = pairs[is_rep]
+    ra, rs = rep_pairs[:, 0], rep_pairs[:, 1]
+    lookup = np.full((ring.order, ring.order), -1, dtype=np.int64)
+    lookup[pairs[:, 0], pairs[:, 1]] = class_of_pair
+    ra_rs = _sub(ring.mul, ra, rs)
+    den = _sub(ring.mul, rs, rs)
+    add = lookup[ring.add[ra_rs, ra_rs.T], den]
+    mul = lookup[_sub(ring.mul, ra, ra), den]
+    assert (add >= 0).all() and (mul >= 0).all(), "a sum or product has no class"
+    labels = [f"{ring.labels[a]}/{ring.labels[s]}" for a, s in rep_pairs]
+    localized = FiniteRng(add, mul, int(lookup[ring.zero, one]), int(lookup[one, one]),
+                          labels, provenance="localization",
+                          name=f"loc({ring.name},{s_idx.size})")
+    return localized, RingHom(ring, localized, lookup[np.arange(ring.order), one],
+                              unital=True)
