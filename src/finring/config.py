@@ -5,8 +5,10 @@ against the active size guard. `set_size_guard` replaces the guard for the
 process, and `guard_limit` replaces it for the length of a `with` block;
 `finring check --guard N` evaluates its script under `guard_limit(N)`.
 The two budgets are constants: DEFAULT_SEARCH_BUDGET bounds the completions
-of a hom search whose caller passes no budget, and DEFAULT_SUBSET_BUDGET
-bounds the seed subsets `min_generating_set` tries before it turns greedy.
+of a hom search whose caller passes no budget, and DEFAULT_SUBSET_CELLS
+bounds the cells of the exhaustive seed phase of `min_generating_set`, each
+seed charged the structure's order, before it adds the least element not
+yet generated instead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import contextlib
 
 DEFAULT_SIZE_GUARD = 4096
 DEFAULT_SEARCH_BUDGET = 10**6
-DEFAULT_SUBSET_BUDGET = 2**16
+DEFAULT_SUBSET_CELLS = 2**20
 
 _size_guard = DEFAULT_SIZE_GUARD
 

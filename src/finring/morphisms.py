@@ -228,8 +228,10 @@ def first_iso_witness(h: RingHom) -> FirstIsoWitness:
 
 
 def _generators(ring: FiniteRng, include_one: bool) -> tuple[int, ...]:
-    """Least generating set as a subrng over 1 (when include_one) or over
-    nothing, cached on the ring so that it lives exactly as long as the ring."""
+    """A generating set as a subrng over 1 (when include_one) or over
+    nothing, from `min_generating_set`: the least one when its seed phase
+    finishes, else at most floor(log2 n) elements. Cached on the ring so
+    that it lives exactly as long as the ring."""
     if include_one not in ring._gens:
         ring._gens[include_one] = min_generating_set(
             lambda seed: subring_generated(ring, seed, include_one).members

@@ -600,47 +600,36 @@ def submodule_generated(M: FiniteModule, seed) -> np.ndarray:
 class GeneratorSearch:
     indices: tuple[int, ...]
     minimal: bool
-    evaluations: int
 
     def labels(self, M: FiniteModule) -> list[str]:
         return [M.labels[i] for i in self.indices]
 
 
 def min_generating_set(generated: Callable[[Sequence[int]], np.ndarray]) -> GeneratorSearch:
-    """A generating set of minimum size, where generated(seed) is the mask of
-    what a seed generates. Seeds are drawn from the elements outside
-    generated(()) and tried exhaustively in (size, lexicographic) order. Past
-    the subset budget the search turns greedy, each round adding the element
-    that generates the most (the least index on ties), and says so via
-    minimal=False; `evaluations` counts every seed tried in both phases."""
+    """A generating set, where generated(seed) is the mask of what a seed
+    generates: an additive subgroup, the least one holding the seed and
+    generated(()). Seeds are drawn from the elements outside generated(())
+    and tried in (size, lexicographic) order, each charged the structure's
+    order n in cells against DEFAULT_SUBSET_CELLS; the first that generates
+    everything has minimum size (minimal=True). Past the budget the search
+    appends the least element not yet generated and closes again
+    (minimal=False). Each step at least doubles the subgroup, so that takes
+    at most floor(log2 n) closures."""
     base = generated(())
     if base.all():
-        return GeneratorSearch((), True, 0)
+        return GeneratorSearch((), True)
     pool = np.flatnonzero(~base).tolist()
-    budget = config.DEFAULT_SUBSET_BUDGET
     seeds = itertools.chain.from_iterable(
         itertools.combinations(pool, k) for k in range(1, len(pool) + 1)
     )
-    for evaluations, comb in enumerate(itertools.islice(seeds, budget), 1):
-        if generated(comb).all():
-            return GeneratorSearch(comb, True, evaluations)
-    # The whole pool generates everything, so only the budget ends the loop
-    # here; the seed that crossed it counts as one evaluation.
-    evaluations = budget + 1
-    chosen: list[int] = []
-    mask = base
+    for seed in itertools.islice(seeds, config.DEFAULT_SUBSET_CELLS // base.size):
+        if generated(seed).all():
+            return GeneratorSearch(seed, True)
+    chosen, mask = [], base
     while not mask.all():
-        best, best_size = None, -1
-        for x in pool:
-            if mask[x]:
-                continue
-            size = int(generated(chosen + [x]).sum())
-            evaluations += 1
-            if size > best_size:
-                best, best_size = x, size
-        chosen.append(best)
+        chosen.append(int(np.argmin(mask)))
         mask = generated(chosen)
-    return GeneratorSearch(tuple(chosen), False, evaluations)
+    return GeneratorSearch(tuple(chosen), False)
 
 
 def module_min_generators(M: FiniteModule) -> GeneratorSearch:

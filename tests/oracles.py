@@ -205,6 +205,31 @@ def min_generator_size(module_add, action, zero: int, members=None) -> int:
     raise AssertionError("module not generated by itself")
 
 
+def first_min_generators(add, mul, fixed) -> tuple[int, ...]:
+    """The lexicographically first of the smallest seeds that, with the
+    fixed elements, generate the whole ring as a subrng (closed under + and
+    *), brute force over subsets. Tiny rings only."""
+    n = len(add)
+
+    def span(gens) -> set[int]:
+        cur = set(gens)
+        while True:
+            new = set(cur)
+            for x in cur:
+                for y in cur:
+                    new.add(add[x][y])
+                    new.add(mul[x][y])
+            if new == cur:
+                return cur
+            cur = new
+
+    for k in range(n + 1):
+        for seed in combinations(range(n), k):
+            if len(span({*fixed, *seed})) == n:
+                return seed
+    raise AssertionError("ring not generated by itself")
+
+
 def poly_mul_truncated(a_coeffs, b_coeffs, base_add, base_mul,
                        zero: int, max_deg: int) -> tuple[int, ...]:
     """Single-variable truncated product: coefficient lists indexed by

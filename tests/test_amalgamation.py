@@ -436,6 +436,47 @@ def test_retraction_roundtrip_recovers_ideal():
     assert rep.witness("recovered_ideal_equals_J") == "True"
 
 
+# Order-4096 section searches out of Boolean rings, as Python: the DSL's
+# binary `product` cannot name (Z/2)^11 or (Z/2)^12 briefly. In a product,
+# the first factor is the most significant digit of an element's index.
+GUARD_BOOLEAN = {
+    "roundtrip_dup_z2_11": (
+        "p = direct_product([zmod(2)] * 11); "
+        "rep = retraction_roundtrip(duplication(p, ideal_from_generators(p, [1 << 10])))"
+    ),
+    "criterion_z2_12_onto_z2": (
+        "p = direct_product([zmod(2)] * 12); "
+        "alpha = RingHom(p, zmod(2), [i >> 11 for i in range(p.order)]); "
+        "rep = retraction_criterion_check(alpha, identity_hom(zmod(2)))"
+    ),
+}
+
+
+@pytest.mark.parametrize("instance", list(GUARD_BOOLEAN))
+def test_guard_order_boolean_section_searches_run_in_one_gib(instance):
+    # The generator search past its seed budget adds the least missing
+    # element, so the section search starts from at most 12 generators.
+    # Each instance runs in its own child under a 1 GiB address-space
+    # limit, which the child sets on itself only.
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from finring.amalgamation import duplication, retraction_criterion_check, "
+        "retraction_roundtrip; "
+        "from finring.morphisms import RingHom, identity_hom; "
+        "from finring.rings import direct_product, zmod; "
+        "from finring.subobjects import ideal_from_generators; "
+        f"{GUARD_BOOLEAN[instance]}; "
+        "print(rep.status, rep.witness('section_found'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [PASS, "True"]
+
+
 def test_pullback_reduced_implications():
     p22, r2 = direct_product([zmod(2), zmod(2)]), zmod(2)
     alpha = enumerate_homs(p22, r2)[0]

@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from finring import config
+from finring.dsl_cli import _catalog_rings
 from finring.errors import NotMultiplicativelyClosed
-from finring.morphisms import first_iso_witness, identity_hom, verify_iso
+from finring.morphisms import (
+    RingHom,
+    _generators,
+    first_iso_witness,
+    identity_hom,
+    verify_iso,
+)
 from finring.rings import direct_product, galois_field, trunc_poly, zmod
 from finring.subobjects import (
     all_ideals,
@@ -17,6 +25,7 @@ from finring.subobjects import (
     is_prime,
     is_radical,
     localization,
+    min_generating_set,
     module_min_generators,
     module_via_hom,
     nilradical,
@@ -31,6 +40,7 @@ from finring.subobjects import (
 from oracles import (
     all_ideals_closure,
     coset_partition,
+    first_min_generators,
     fraction_class_count,
     ideal_closure,
     min_generator_size,
@@ -170,13 +180,48 @@ def test_submodule_closure_needs_multiple_passes():
 
 
 def test_module_min_generators_matches_brute_force():
-    r = zmod(12)
-    ideal = ideal_from_generators(r, [2])
-    m = module_via_hom(identity_hom(r), ideal)
-    search = module_min_generators(m)
-    want = min_generator_size(m.add.tolist(), m.action.tolist(), m.zero)
-    assert len(search.indices) == want == 1
-    assert search.minimal
+    # every ideal of Z/n as a module over Z/n, n = 2..16
+    for n in range(2, 17):
+        r = zmod(n)
+        for ideal in all_ideals(r):
+            m = module_via_hom(identity_hom(r), ideal)
+            search = module_min_generators(m)
+            want = min_generator_size(m.add.tolist(), m.action.tolist(), m.zero)
+            assert search.minimal
+            assert len(search.indices) == want, (n, ideal.labels())
+            assert submodule_generated(m, search.indices).all()
+
+
+@pytest.mark.parametrize("include_one", [True, False])
+def test_generator_seed_phase_returns_the_first_minimum_seed(include_one):
+    # every roster ring of order <= 16 stays inside the seed budget
+    for name, _, ring in _catalog_rings(16):
+        search = min_generating_set(
+            lambda seed: subring_generated(ring, seed, include_one).members)
+        fixed = [ring.zero] + ([ring.one] if include_one and ring.has_one else [])
+        want = first_min_generators(ring.add.tolist(), ring.mul.tolist(), fixed)
+        assert search.minimal, name
+        assert search.indices == want == _generators(ring, include_one), name
+
+
+@pytest.mark.parametrize("kind", ["subrng", "module"])
+def test_generator_search_past_its_budget_adds_the_least_missing_element(
+        monkeypatch, kind):
+    # (Z/2)^4 as a subrng over 1, and as a module over Z/2 through the
+    # diagonal, which no fewer than 4 elements generate. Three seeds fit
+    # the budget, and no single element generates either.
+    p, r2 = direct_product([zmod(2)] * 4), zmod(2)
+    m = module_via_hom(RingHom(r2, p, [p.zero, p.one]), unit_ideal(p))
+    generated = {"subrng": lambda seed: subring_generated(p, seed).members,
+                 "module": lambda seed: submodule_generated(m, seed)}[kind]
+    monkeypatch.setattr(config, "DEFAULT_SUBSET_CELLS", 3 * p.order)
+    search = min_generating_set(generated)
+    assert not search.minimal
+    assert generated(search.indices).all()
+    for k, g in enumerate(search.indices):
+        assert g == int(np.argmin(generated(search.indices[:k])))
+    assert len(search.indices) <= int(np.log2(p.order))
+    assert search.indices == {"subrng": (1, 2, 4), "module": (1, 2, 4, 8)}[kind]
 
 
 def test_first_isomorphism_witness_for_z12_mod_4():
