@@ -296,7 +296,11 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
         rep.status = FAIL
         rep.counterexample = "fraction reduction map is not well defined"
         return loc, rep
-    phi = RingHom(loc, tot, phi_map, unital=True, name="fraction_reduction")
+    # phi . lam = lamQ . piI (checked above), a unital hom, and lam is onto:
+    # phi(lam a + lam b) = phi(lam(a + b)) = lamQ piI a + lamQ piI b, and so
+    # for * and 1, so phi is a hom without a scan
+    phi = RingHom(loc, tot, phi_map, unital=True, name="fraction_reduction",
+                  check=False)
     C_ring, ok = _preimage_ring(rep, lam, J, I, image(lamQ).members[phi.map],
                                 "contraction_is_I")
     if not ok:

@@ -641,25 +641,82 @@ def evaluate(script: Script) -> list[VerificationReport]:
 
 _MIN_BUDGET = 12
 
+# The roster: each ring as the script text that builds it.
+_ROSTER = [(f"R{n}", f"zmod({n})") for n in range(2, 13)] + [
+    ("F4", "gf(4)"),
+    ("P22", "product(zmod(2), zmod(2))"),
+    ("P23", "product(zmod(2), zmod(3))"),
+    ("P24", "product(zmod(2), zmod(4))"),
+    ("P33", "product(zmod(3), zmod(3))"),
+    ("T21", "trunc_poly(zmod(2), 1, 1)"),
+    ("T22", "trunc_poly(zmod(2), 1, 2)"),
+    ("V221", "trunc_poly(zmod(2), 2, 1)"),
+    ("T31", "trunc_poly(zmod(3), 1, 1)"),
+    ("T41", "trunc_poly(zmod(4), 1, 1)"),
+    ("TF4", "trunc_poly(gf(4), 1, 1)"),
+    ("T25", "trunc_poly(zmod(2), 1, 5)"),
+]
+
+# The fixed part of the catalog, written as the script text it emits: the
+# amalgams every catalog keeps, and the checks after the seeded ones. A
+# placeholder names an ideal: {R4:2} the ideal of R4 generated by the
+# element labelled 2, {R2} the largest ideal of R2. A line whose placeholder
+# names a ring over the budget is left out. The line <hom pairs> is where
+# the seeded kernel_identity and pullback_reduced pairs go.
+_IDEAL = re.compile(r"\{(\w+)(?::([^}]*))?\}")
+_DESIGNATED = ("dup(R4, {R4:2})", "dup(R6, {R6:2})", "dup(R6, {R6:3})",
+               "dup(R12, {R12:4})", "amalg(h_R4_R2_0, {R2})")
+_FIXED_CHECKS = """\
+# pullback criteria
+check retraction_criterion(h_R2_R2_0, h_R4_R2_0);
+<hom pairs>
+check pullback_presentation(h_R4_R2_0, h_R2_R2_0, h_R4_R2_0);
+check pullback_presentation(h_P22_R2_0, h_R2_R2_0, h_P22_R2_1);
+
+# hom pairs sharing an amalgam
+hom d_P22 = map(P22 -> P22; 0, 3, 0, 3);
+check same_amalgam(id(P22), d_P22, {P22:(1,0)});
+hom s_P22 = map(P22 -> P22; 0, 2, 1, 3);
+check same_amalgam(id(P22), s_P22, {P22:(1,0)});
+check same_amalgam(id(R4), id(R4), {R4});
+
+# named constructions
+check dorroh({R4:2});
+check dorroh({R9:3});
+check dorroh({R6:2});
+check nagata_as_amalgam(id(R2), {R2});
+check nagata_as_amalgam(h_R4_R2_0, {R2});
+check nagata_as_amalgam(id(R3), {R3});
+check d_plus_m(sub(TF4), {TF4:X});
+check d_plus_m(sub(T21), {T21:X});
+check cpi_prime(R12, {R12:2});
+check cpi_prime(R12, {R12:3});
+check cpi_prime(R6, {R6:3});
+check cpi_ideal(R12, {R12:4});
+check cpi_ideal(R12, {R12:2});
+check cpi_ideal(R8, {R8:2});
+check trunc_poly_amalgam(sub(F4), {F4}, 1, 1);
+check trunc_poly_amalgam(sub(R4), {R4:2}, 1, 1);
+
+# polynomial-extension verdicts
+check noetherian_xjx(sub(P22), {P22:(1,0)});
+check noetherian_xjx(sub(R4), {R4:2});
+check noetherian_xjx(sub(R4), {R4});
+
+# converse search over the kept instances
+"""
+_PER_INSTANCE = ("cardinality", "pull_identity", "canonical_isos",
+                 "reduced_criterion", "domain_criterion", "retraction_roundtrip")
+_ON_A_SLICE = ("alt_pullbacks", "dotted_presentation", "noetherian")
+
 
 def _catalog_rings(budget: int) -> list[tuple[str, str, FiniteRng]]:
-    """(name, expression text, built ring) for the deterministic roster."""
-    entries = [(f"R{n}", f"zmod({n})", zmod(n)) for n in range(2, 13)]
-    entries += [
-        ("F4", "gf(4)", galois_field(4)),
-        ("P22", "product(zmod(2), zmod(2))", direct_product([zmod(2), zmod(2)])),
-        ("P23", "product(zmod(2), zmod(3))", direct_product([zmod(2), zmod(3)])),
-        ("P24", "product(zmod(2), zmod(4))", direct_product([zmod(2), zmod(4)])),
-        ("P33", "product(zmod(3), zmod(3))", direct_product([zmod(3), zmod(3)])),
-        ("T21", "trunc_poly(zmod(2), 1, 1)", trunc_poly(zmod(2), 1, 1)),
-        ("T22", "trunc_poly(zmod(2), 1, 2)", trunc_poly(zmod(2), 1, 2)),
-        ("V221", "trunc_poly(zmod(2), 2, 1)", trunc_poly(zmod(2), 2, 1)),
-        ("T31", "trunc_poly(zmod(3), 1, 1)", trunc_poly(zmod(3), 1, 1)),
-        ("T41", "trunc_poly(zmod(4), 1, 1)", trunc_poly(zmod(4), 1, 1)),
-        ("TF4", "trunc_poly(gf(4), 1, 1)", trunc_poly(galois_field(4), 1, 1)),
-        ("T25", "trunc_poly(zmod(2), 1, 5)", trunc_poly(zmod(2), 1, 5)),
-    ]
-    return [e for e in entries if e[2].order <= budget]
+    """(name, expression text, ring) for each roster ring of order at most
+    `budget`, each built from its text by the script's own Evaluator."""
+    script = parse("".join(f"ring {name} = {text};\n" for name, text in _ROSTER))
+    ev = Evaluator(script.definitions)
+    rings = [(d.name, d.expr.render(), ev.value(d.expr)) for d in script.definitions]
+    return [e for e in rings if e[2].order <= budget]
 
 
 def _gen_text(ring_name: str, ring: FiniteRng, ideal) -> str:
@@ -675,198 +732,93 @@ def generate_catalog(seed: int, budget: int) -> str:
     """Deterministic script text exercising every check. The seed picks which
     instances survive the per-section caps; the budget bounds every
     constructed ring order. Identical arguments give identical text."""
-    header = [
+    lines = [
         "# catalog of verification instances",
         f"# seed {seed}, budget {budget}",
     ]
     if budget < _MIN_BUDGET:
-        return "\n".join(header + [
+        return "\n".join(lines + [
             f"# warning: budget {budget} is below the order of zmod({_MIN_BUDGET}), "
             "which the fixed instances use; catalog is empty",
         ]) + "\n"
     rng = random.Random(seed)
     rings = _catalog_rings(budget)
     by_name = {name: ring for name, _, ring in rings}
-    lines = list(header) + [""]
-    for name, text, _ in rings:
-        lines.append(f"ring {name} = {text};")
-    lines.append("")
+    lines += [""] + [f"ring {name} = {text};" for name, text, _ in rings] + [""]
 
     ideal_names: dict[tuple[str, bytes], str] = {}
-    ideals_of: dict[str, list] = {}
-    for name, _, ring in rings:
-        ideals = all_ideals(ring, cap=32)
-        ideals_of[name] = ideals
-        for k, ideal in enumerate(ideals):
-            iname = f"I_{name}_{k}"
-            ideal_names[(name, ideal.members.tobytes())] = iname
-            lines.append(f"ideal {iname} = {_gen_text(name, ring, ideal)};")
+    ideals_of = {name: all_ideals(ring, cap=32) for name, ring in by_name.items()}
+    for name, ring in by_name.items():
+        for k, ideal in enumerate(ideals_of[name]):
+            ideal_names[name, ideal.members.tobytes()] = f"I_{name}_{k}"
+            lines.append(f"ideal I_{name}_{k} = {_gen_text(name, ring, ideal)};")
     lines.append("")
 
-    hom_sources = [e for e in rings if e[2].order <= 12]
-    hom_names: list[tuple[str, str, str, RingHom]] = []
-    for a_name, _, A in hom_sources:
-        for b_name, _, B in hom_sources:
+    def ideal_name(ring_name: str, ideal) -> str:
+        return ideal_names[ring_name, ideal.members.tobytes()]
+
+    def find_ideal(ring_name: str, label: str | None) -> str:
+        """The ideal generated by the element `label`, or with no label the
+        ring's largest ideal."""
+        ring, ideals = by_name[ring_name], ideals_of[ring_name]
+        ideal = ideals[-1] if label is None else ideal_from_generators(
+            ring, [ring.index_of(label)])
+        return ideal_name(ring_name, ideal)
+
+    def fill(text: str) -> str:
+        return _IDEAL.sub(lambda mo: find_ideal(*mo.groups()), text)
+
+    small = {name: ring for name, ring in by_name.items() if ring.order <= 12}
+    homs: list[tuple[str, str, int]] = []  # (name, codomain name, |domain|)
+    for a_name, A in small.items():
+        for b_name, B in small.items():
             # f(1) = 1 gives char(A) * 1 = 0 in B, so char(B) | char(A)
             if characteristic(A) % characteristic(B):
                 continue
             for k, h in enumerate(enumerate_homs(A, B, unital=True, cap=8)):
-                hname = f"h_{a_name}_{b_name}_{k}"
                 images = ", ".join(str(int(x)) for x in h.map)
-                lines.append(
-                    f"hom {hname} = map({a_name} -> {b_name}; {images});"
-                )
-                hom_names.append((hname, a_name, b_name, h))
+                lines.append(f"hom h_{a_name}_{b_name}_{k} = map({a_name} -> {b_name}; {images});")
+                homs.append((f"h_{a_name}_{b_name}_{k}", b_name, A.order))
     lines.append("")
-
-    def ideal_name(ring_name: str, ideal) -> str:
-        return ideal_names[(ring_name, ideal.members.tobytes())]
-
-    def find_ideal(ring_name: str, gens) -> str:
-        ring = by_name[ring_name]
-        idx = [g if isinstance(g, int) else ring.index_of(g) for g in gens]
-        target = ideal_from_generators(ring, idx)
-        return ideal_name(ring_name, target)
 
     # amalgam instances: (hom or duplication) x ideal of the codomain
-    amalgam_exprs: list[str] = []
-    for hname, a_name, b_name, h in hom_names:
-        for ideal in ideals_of[b_name]:
-            if h.domain.order * ideal.size > budget:
-                continue
-            amalgam_exprs.append(f"amalg({hname}, {ideal_name(b_name, ideal)})")
-    for name, _, ring in rings:
-        if ring.order > 12:
-            continue
-        for ideal in ideals_of[name]:
-            if ring.order * ideal.size > budget:
-                continue
-            amalgam_exprs.append(f"dup({name}, {ideal_name(name, ideal)})")
-    amalgam_exprs = sorted(set(amalgam_exprs))
-    designated = [
-        f"dup(R4, {find_ideal('R4', [2])})",
-        f"dup(R6, {find_ideal('R6', [2])})",
-        f"dup(R6, {find_ideal('R6', [3])})",
-        f"dup(R12, {find_ideal('R12', [4])})",
-        f"amalg(h_R4_R2_0, {ideal_name('R2', ideals_of['R2'][-1])})",
-    ]
-    cap = 36
-    pool = [e for e in amalgam_exprs if e not in designated]
-    keep = designated + (
-        sorted(rng.sample(pool, cap - len(designated)))
-        if len(pool) > cap - len(designated) else pool
-    )
+    pool = {f"amalg({hname}, {ideal_name(b_name, ideal)})"
+            for hname, b_name, order in homs for ideal in ideals_of[b_name]
+            if order * ideal.size <= budget}
+    pool |= {f"dup({name}, {ideal_name(name, ideal)})"
+             for name, ring in small.items() for ideal in ideals_of[name]
+             if ring.order * ideal.size <= budget}
+    designated = [fill(text) for text in _DESIGNATED]
+    pool = sorted(pool.difference(designated))
+    room = 36 - len(designated)
+    keep = designated + (sorted(rng.sample(pool, room)) if len(pool) > room else pool)
 
     lines.append("# per-instance verification")
-    for expr in keep:
-        for check in ("cardinality", "pull_identity", "canonical_isos",
-                      "reduced_criterion", "domain_criterion",
-                      "retraction_roundtrip"):
-            lines.append(f"check {check}({expr});")
-    lines.append("")
-    lines.append("# heavier presentations on a slice")
-    for expr in keep[:10]:
-        lines.append(f"check alt_pullbacks({expr});")
-        lines.append(f"check dotted_presentation({expr});")
-        lines.append(f"check noetherian({expr});")
-    lines.append("")
-
-    lines.append("# iterated amalgams")
-    iter_rings = [(f"R{n}") for n in (2, 3, 4, 5, 6) if f"R{n}" in by_name]
+    lines += [f"check {check}({expr});" for expr in keep for check in _PER_INSTANCE]
+    lines += ["", "# heavier presentations on a slice"]
+    lines += [f"check {check}({expr});" for expr in keep[:10] for check in _ON_A_SLICE]
+    lines += ["", "# iterated amalgams"]
     for n_fold in (2, 3):
-        count = 0
-        for rname in iter_rings:
-            ring = by_name[rname]
-            for ideal in ideals_of[rname]:
-                if ideal.size < 2:
-                    continue
-                if ring.order * ideal.size ** n_fold > budget:
-                    continue
-                lines.append(
-                    f"check iterated_iso(id({rname}), "
-                    f"{ideal_name(rname, ideal)}, {n_fold});"
-                )
-                count += 1
-                if count >= 6:
-                    break
-            if count >= 6:
-                break
+        lines += [
+            f"check iterated_iso(id({name}), {ideal_name(name, ideal)}, {n_fold});"
+            for name in ("R2", "R3", "R4", "R5", "R6") for ideal in ideals_of[name]
+            if ideal.size >= 2 and by_name[name].order * ideal.size ** n_fold <= budget
+        ][:6]
     lines.append("")
 
-    lines.append("# pullback criteria")
-    lines.append("check retraction_criterion(h_R2_R2_0, h_R4_R2_0);")
     by_codomain: dict[str, list[str]] = {}
-    for hname, _, b_name, _ in hom_names:
+    for hname, b_name, _ in homs:
         by_codomain.setdefault(b_name, []).append(hname)
     pair_pool = sorted({(h1, h2) for names in by_codomain.values()
                         for h1 in names for h2 in names if h1 <= h2})
-    pairs = rng.sample(pair_pool, min(8, len(pair_pool)))
-    for h1, h2 in sorted(pairs):
-        lines.append(f"check kernel_identity({h1}, {h2});")
-        lines.append(f"check pullback_reduced({h1}, {h2});")
-    lines.append("check pullback_presentation(h_R4_R2_0, h_R2_R2_0, h_R4_R2_0);")
-    lines.append("check pullback_presentation(h_P22_R2_0, h_R2_R2_0, h_P22_R2_1);")
-    lines.append("")
-
-    lines.append("# hom pairs sharing an amalgam")
-    lines.append("hom d_P22 = map(P22 -> P22; 0, 3, 0, 3);")
-    lines.append(
-        f"check same_amalgam(id(P22), d_P22, {find_ideal('P22', ['(1,0)'])});"
-    )
-    lines.append("hom s_P22 = map(P22 -> P22; 0, 2, 1, 3);")
-    lines.append(
-        f"check same_amalgam(id(P22), s_P22, {find_ideal('P22', ['(1,0)'])});"
-    )
-    lines.append(
-        f"check same_amalgam(id(R4), id(R4), {ideal_name('R4', ideals_of['R4'][-1])});"
-    )
-    lines.append("")
-
-    lines.append("# named constructions")
-    lines.append(f"check dorroh({find_ideal('R4', [2])});")
-    lines.append(f"check dorroh({find_ideal('R9', [3])});")
-    lines.append(f"check dorroh({find_ideal('R6', [2])});")
-    lines.append(
-        f"check nagata_as_amalgam(id(R2), {ideal_name('R2', ideals_of['R2'][-1])});"
-    )
-    lines.append(
-        f"check nagata_as_amalgam(h_R4_R2_0, {ideal_name('R2', ideals_of['R2'][-1])});"
-    )
-    lines.append(
-        f"check nagata_as_amalgam(id(R3), {ideal_name('R3', ideals_of['R3'][-1])});"
-    )
-    if "TF4" in by_name:
-        lines.append(f"check d_plus_m(sub(TF4), {find_ideal('TF4', ['X'])});")
-    lines.append(f"check d_plus_m(sub(T21), {find_ideal('T21', ['X'])});")
-    lines.append(f"check cpi_prime(R12, {find_ideal('R12', [2])});")
-    lines.append(f"check cpi_prime(R12, {find_ideal('R12', [3])});")
-    lines.append(f"check cpi_prime(R6, {find_ideal('R6', [3])});")
-    lines.append(f"check cpi_ideal(R12, {find_ideal('R12', [4])});")
-    lines.append(f"check cpi_ideal(R12, {find_ideal('R12', [2])});")
-    lines.append(f"check cpi_ideal(R8, {find_ideal('R8', [2])});")
-    lines.append(
-        f"check trunc_poly_amalgam(sub(F4), "
-        f"{ideal_name('F4', ideals_of['F4'][-1])}, 1, 1);"
-    )
-    lines.append(
-        f"check trunc_poly_amalgam(sub(R4), {find_ideal('R4', [2])}, 1, 1);"
-    )
-    lines.append("")
-
-    lines.append("# polynomial-extension verdicts")
-    lines.append(
-        f"check noetherian_xjx(sub(P22), {find_ideal('P22', ['(1,0)'])});"
-    )
-    lines.append(f"check noetherian_xjx(sub(R4), {find_ideal('R4', [2])});")
-    lines.append(
-        f"check noetherian_xjx(sub(R4), {ideal_name('R4', ideals_of['R4'][-1])});"
-    )
-    lines.append("")
-
-    lines.append("# converse search over the kept instances")
-    lines.append(
-        "check reduced_converse_search(" + ", ".join(keep[:12]) + ");"
-    )
+    pairs = sorted(rng.sample(pair_pool, min(8, len(pair_pool))))
+    for row in _FIXED_CHECKS.splitlines():
+        if row == "<hom pairs>":
+            lines += [f"check {check}({h1}, {h2});" for h1, h2 in pairs
+                      for check in ("kernel_identity", "pullback_reduced")]
+        elif {mo[1] for mo in _IDEAL.finditer(row)} <= by_name.keys():
+            lines.append(fill(row))
+    lines.append("check reduced_converse_search(" + ", ".join(keep[:12]) + ");")
     return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,9 @@ import finring
 from finring.dsl_cli import (
     Evaluator,
     REGISTRY,
+    _DESIGNATED,
+    _FIXED_CHECKS,
+    _ROSTER,
     _catalog_rings,
     evaluate,
     generate_catalog,
@@ -236,6 +240,24 @@ CATALOG_SHA256 = {
 def test_catalog_text_is_pinned(seed, budget):
     text = generate_catalog(seed, budget)
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[seed, budget]
+
+
+def test_fixed_catalog_table_names_roster_rings_and_is_emitted_whole():
+    # a line whose ring is absent is left out, so a misspelt ring name
+    # would drop its check without a trace
+    roster = {name for name, _ in _ROSTER}
+    rows = [row for row in _FIXED_CHECKS.splitlines() if row != "<hom pairs>"]
+    placeholder = re.compile(r"\{(\w+)[^}]*\}")
+    for row in rows + list(_DESIGNATED):
+        assert set(placeholder.findall(row)) <= roster, row
+    lines = generate_catalog(0, 256).splitlines()
+    for row in rows + [f"check cardinality({d});" for d in _DESIGNATED]:
+        parts = placeholder.split(row)  # text, ring, text, ring, ..., text
+        pattern = "".join(re.escape(p) if k % 2 == 0 else rf"I_{p}_\d+"
+                          for k, p in enumerate(parts))
+        assert any(re.fullmatch(pattern, line) for line in lines), row
+    # TF4 has order 16
+    assert "check d_plus_m(sub(TF4)" not in generate_catalog(0, 12)
 
 
 def test_catalog_skips_only_hom_searches_that_cannot_succeed():

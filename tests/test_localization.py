@@ -115,6 +115,10 @@ GUARD_CPI = {
         "PASS",
     'cpi_ideal(product(zmod(2), zmod(2048)), gen(product(zmod(2), zmod(2048)); "(0,1)"))':
         "PASS",
+    # a field: localized at every nonzero element, it stays of order 4096,
+    # and so do its residue field and the amalgam's corestriction
+    "cpi_prime(gf(4096), gen(gf(4096); 0))":
+        "PASS",
     # the localization at the odd residues has order 4096, the amalgam
     # 4096 * 2048
     "cpi_prime(zmod(4096), gen(zmod(4096); 2))":
@@ -123,9 +127,10 @@ GUARD_CPI = {
 
 
 @pytest.mark.parametrize("check", list(GUARD_CPI), ids=[
-    "prime_gf4_x_z1024", "ideal_gf4_x_z1024", "ideal_z2_x_z2048", "prime_z4096"])
+    "prime_gf4_x_z1024", "ideal_gf4_x_z1024", "ideal_z2_x_z2048", "prime_gf4096",
+    "prime_z4096"])
 def test_guard_order_cpi_checks_run_in_one_gib(tmp_path, check):
-    # Order-4096 rings localized at sets of 2048 to 3072 elements: each
+    # Order-4096 rings localized at sets of 2048 to 4095 elements: each
     # check runs in its own child under a 1 GiB address-space limit, which
     # the child sets on itself only.
     script = tmp_path / "cpi.fr"

@@ -7,10 +7,11 @@ import pytest
 
 from finring import config
 from finring.dsl_cli import _catalog_rings
-from finring.errors import NotMultiplicativelyClosed
+from finring.errors import InvalidParameter, NotMultiplicativelyClosed
 from finring.morphisms import (
     RingHom,
     _generators,
+    enumerate_homs,
     first_iso_witness,
     identity_hom,
     verify_iso,
@@ -34,6 +35,7 @@ from finring.subobjects import (
     submodule_generated,
     subring_generated,
     unit_ideal,
+    validate_module,
     zero_ideal,
 )
 
@@ -166,6 +168,38 @@ def test_subring_generated_contains_one_and_closes():
     assert prime.size == 4  # multiples of 1
     full = subring_generated(r, [r.index_of("X")])
     assert full.size == 16
+
+
+def test_module_via_hom_refuses_a_map_whose_one_does_not_act_as_one():
+    # f: Z/2 -> Z/2 x Z/2 with f(1) = (1,0) is a non-unital hom, and on the
+    # unit ideal 1.(0,1) = (1,0)(0,1) = 0; on the ideal of (1,0), 1 acts as 1
+    p = direct_product([zmod(2), zmod(2)])
+    f = RingHom(zmod(2), p, [p.zero, p.index_of("(1,0)")], unital=False)
+    with pytest.raises(InvalidParameter, match=r"^hom action does not give a "
+                       r"module: one_acts_as_identity at \(\(0,1\)\)$"):
+        module_via_hom(f, unit_ideal(p))
+    assert validate_module(module_via_hom(f, ideal_from_generators(p, ["(1,0)"]))).ok
+
+
+def test_module_via_hom_agrees_with_the_full_module_scan():
+    # every hom, unital or not, between small rings, along every ideal of
+    # its codomain: refused exactly when f(1) moves an element of J, and
+    # otherwise a module that the full axiom scan accepts
+    rings = [zmod(2), zmod(4), zmod(6), direct_product([zmod(2), zmod(2)]),
+             trunc_poly(zmod(2), 1, 1)]
+    cases = 0
+    for A in rings:
+        for B in rings:
+            for f in enumerate_homs(A, B, unital=False):
+                for J in all_ideals(B):
+                    moves = (B.mul[f.map[A.one], J.indices] != J.indices).any()
+                    if moves:
+                        with pytest.raises(InvalidParameter):
+                            module_via_hom(f, J)
+                    else:
+                        assert validate_module(module_via_hom(f, J)).ok
+                    cases += 1
+    assert cases > 100
 
 
 def test_submodule_closure_needs_multiple_passes():
