@@ -373,8 +373,9 @@ def noetherian_report(am: Amalgam, instance: str | None = None) -> VerificationR
     """finiteness evidence for an amalgam's chain conditions
 
     On finite instances every chain condition holds; the check
-    computes the supporting data: a minimum generating set for J as
-    a module over the base through f, finiteness of the base, of
+    computes the supporting data: a generating set for J as a module
+    over the base through f, of minimum size when its budgeted search
+    finishes (generating_set_minimal), finiteness of the base, of
     f(A)+J, and of the induced residue map."""
     rep = VerificationReport(
         "noetherian", instance or am.description, PASS,
