@@ -296,9 +296,9 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
         rep.status = FAIL
         rep.counterexample = "fraction reduction map is not well defined"
         return loc, rep
-    # phi . lam = lamQ . piI (checked above), a unital hom, and lam is onto:
-    # phi(lam a + lam b) = phi(lam(a + b)) = lamQ piI a + lamQ piI b, and so
-    # for * and 1, so phi is a hom without a scan
+    # phi . lam = lamQ . piI (checked above) is a unital hom and lam is onto,
+    # so phi(lam a + lam b) = lamQ piI (a + b) = phi(lam a) + phi(lam b), and
+    # alike for *: phi is a hom without a scan
     phi = RingHom(loc, tot, phi_map, unital=True, name="fraction_reduction",
                   check=False)
     C_ring, ok = _preimage_ring(rep, lam, J, I, image(lamQ).members[phi.map],

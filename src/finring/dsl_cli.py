@@ -776,9 +776,10 @@ def generate_catalog(seed: int, budget: int) -> str:
             if characteristic(A) % characteristic(B):
                 continue
             for k, h in enumerate(enumerate_homs(A, B, unital=True, cap=8)):
+                hname = f"h_{a_name}_{b_name}_{k}"
                 images = ", ".join(str(int(x)) for x in h.map)
-                lines.append(f"hom h_{a_name}_{b_name}_{k} = map({a_name} -> {b_name}; {images});")
-                homs.append((f"h_{a_name}_{b_name}_{k}", b_name, A.order))
+                lines.append(f"hom {hname} = map({a_name} -> {b_name}; {images});")
+                homs.append((hname, b_name, A.order))
     lines.append("")
 
     # amalgam instances: (hom or duplication) x ideal of the codomain

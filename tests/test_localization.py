@@ -115,8 +115,8 @@ GUARD_CPI = {
         "PASS",
     'cpi_ideal(product(zmod(2), zmod(2048)), gen(product(zmod(2), zmod(2048)); "(0,1)"))':
         "PASS",
-    # a field: localized at every nonzero element, it stays of order 4096,
-    # and so do its residue field and the amalgam's corestriction
+    # a field, localized at its 4095 nonzero elements: A/P, the
+    # localization, its residue field and the amalgam, all of order 4096
     "cpi_prime(gf(4096), gen(gf(4096); 0))":
         "PASS",
     # the localization at the odd residues has order 4096, the amalgam
