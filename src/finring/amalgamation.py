@@ -105,6 +105,7 @@ def dotted_sum(base: FiniteRng, part: FiniteRng, action) -> DottedSum:
     gx = np.concatenate((np.full(sa.size, part.zero), sr))
     acts = _sub(action, ga, gx)
     cross = part.add[acts, acts.T]
+    # table-dtype codes below n, which is within the guard (checked above)
     products = _sub(base.mul, ga, ga) * m + part.add[cross, _sub(part.mul, gx, gx)]
     labels = [f"({a},{x})" for a in base.labels for x in part.labels]
     try:
@@ -278,7 +279,8 @@ class Amalgam:
 def amalgam_pair_encoding(f: RingHom, J: Ideal) -> np.ndarray:
     """Sorted encodings a*|B| + (f(a)+j) of the element set of the amalgam,
     without building the ring. Used for cheap set comparisons. They are
-    distinct, as j -> f(a)+j is injective, so sorting each row sorts all."""
+    distinct, as j -> f(a)+j is injective, so sorting each row sorts all.
+    In int64, as a*|B| passes the table dtype from |A||B| > 32767 on."""
     cols = np.sort(_sub(f.codomain.add, f.map, J.indices), axis=1).astype(np.int64)
     return (np.arange(f.domain.order, dtype=np.int64)[:, None] * f.codomain.order + cols).ravel()
 
@@ -368,6 +370,7 @@ def image_plus_ideal_check(f: RingHom, J: Ideal,
                       name=f"{f.name}|diamond")
     J_small = Ideal(small, J.members[embed_small.map])
     enc_small = amalgam_pair_encoding(f_small, J_small)
+    # int64 throughout: the encodings, and hom maps (`RingHom` stores int64)
     a_part, b_part = np.divmod(enc_small, small.order)
     enc_lifted = a_part * f.codomain.order + embed_small.map[b_part]
     same = np.array_equal(np.sort(enc_lifted), amalgam_pair_encoding(f, J))
@@ -578,15 +581,18 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
 
     # u: a -> (a, f(a)+J), v: (a, b) -> (a, b+J), and the maps they induce
     # over A/I x B/J (well defined, as f(I) lies in J) are products of homs
-    # coordinate by coordinate, so homs, and each fiber product is closed
-    a_codes = np.arange(A.order, dtype=np.int64)
-    ok1 = collapses(A, a_codes * BJ.order + f_res.map,
-                    (a_codes[:, None] * BJ.order + pi.map).ravel(), a_codes, "over A x B/J")
+    # coordinate by coordinate, so homs, and each fiber product is closed.
+    # Codes over left x B/J are below |A||B/J| <= guard^2 < 2^31, so int32
+    # holds them, and v, one per element of A x B, takes half of int64's room
+    a_codes = np.arange(A.order, dtype=np.int32)
+    f_codes, pi_codes = f_res.map.astype(np.int32), pi.map.astype(np.int32)
+    ok1 = collapses(A, a_codes * BJ.order + f_codes,
+                    (a_codes[:, None] * BJ.order + pi_codes).ravel(), a_codes, "over A x B/J")
     rep.add("presentation_over_A_x_BJ", ok1)
-    c_codes = np.arange(AI.order, dtype=np.int64)
-    ok2 = collapses(AI, c_codes * BJ.order + f_res.map[rep_idx],
-                    (rho.map[:, None] * BJ.order + pi.map).ravel(), rho.map,
-                    "over A/I x B/J")
+    c_codes = np.arange(AI.order, dtype=np.int32)
+    ok2 = collapses(AI, c_codes * BJ.order + f_codes[rep_idx],
+                    (rho.map.astype(np.int32)[:, None] * BJ.order + pi_codes).ravel(),
+                    rho.map, "over A/I x B/J")
     rep.add("presentation_over_AI_x_BJ", ok2)
     rep.add("order", am.ring.order)
     if not (ok1 and ok2):
@@ -611,7 +617,7 @@ def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
         instance or f"{alpha.name} vs {beta.name} through {f.name}", PASS,
     )
     pb = pullback(alpha, beta)
-    enc_pb = pb.pairs[:, 0] * beta.domain.order + pb.pairs[:, 1]
+    enc_pb = pb.pairs[:, 0] * beta.domain.order + pb.pairs[:, 1]  # pairs are int64
     factors = np.array_equal(beta.map[f.map], alpha.map)
     rep.add("alpha_factors_through_beta", factors)
     if factors:
@@ -669,7 +675,7 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
     search = find_section(pb.proj_left, budget)
     rep.add("section_found", search.found)
     rep.add("assignments_tried", search.tried)
-    enc_pb = pb.pairs[:, 0] * beta.domain.order + pb.pairs[:, 1]
+    enc_pb = pb.pairs[:, 0] * beta.domain.order + pb.pairs[:, 1]  # pairs are int64
     if search.found:
         section = search.hom
         f_new = compose(pb.proj_right, section)
@@ -744,6 +750,7 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
     J_new = kernel(pb.beta)
     ideal_match = J_new == am.ideal
     rep.add("recovered_ideal_equals_J", ideal_match)
+    # the pairs of `_join` and of a fiber product's coords are int64
     enc_pb = pb.pairs[:, 0] * am.target.order + pb.pairs[:, 1]
     enc_am = am.pairs[:, 0] * am.target.order + am.pairs[:, 1]
     set_ok = np.array_equal(amalgam_pair_encoding(f_new, J_new), enc_pb) \

@@ -34,7 +34,7 @@ from .morphisms import (
     verify_iso,
 )
 from .reports import FAIL, PASS, THEOREM_BACKED, VerificationReport
-from .rings import FiniteRng, _digits, _monomials, _sub, is_field, trunc_poly
+from .rings import _TABLE_DTYPE, FiniteRng, _digits, _monomials, _sub, is_field, trunc_poly
 from .subobjects import (
     FiniteModule,
     Ideal,
@@ -91,7 +91,7 @@ def nagata_idealization(base: FiniteRng, module: FiniteModule,
         raise IncompatibleStructures(f"not a module: {report}")
     # not validated again: (M, +) is an abelian group by the module check,
     # and the zero product meets every multiplicative axiom
-    zero_mul = np.full((module.order, module.order), module.zero, dtype=np.int64)
+    zero_mul = np.full((module.order, module.order), module.zero, dtype=_TABLE_DTYPE)
     part = FiniteRng(module.add, zero_mul, module.zero, None, module.labels,
                      provenance="idealization", name=f"sq0({base.name})", check=False)
     ds = dotted_sum(base, part, module.action)

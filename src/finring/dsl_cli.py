@@ -886,8 +886,9 @@ def main(argv: list[str] | None = None) -> int:
     with _stdout():
         args = parser.parse_args(argv)
     if args.command == "check":
-        if args.guard is not None and args.guard < 1:
-            p_check.error(f"argument --guard: must be at least 1, got {args.guard}")
+        if args.guard is not None and not 1 <= args.guard <= config.max_size_guard():
+            bound = "at least 1" if args.guard < 1 else f"at most {config.max_size_guard()}"
+            p_check.error(f"argument --guard: must be {bound}, got {args.guard}")
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()

@@ -90,8 +90,16 @@ class VerificationReport:
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    doc = {"version": "1", "reports": [r.to_json() for r in reports]}
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """The text of `json.dumps({"version": "1", "reports": [...]},
+    indent=2)`, encoded one report at a time, so that only one report's
+    dict is alive at once. A report nests two levels deep, so its lines
+    after the first take four more spaces; a JSON string escapes every
+    newline, so each newline of its text is one of those lines' ends."""
+    items = ",\n    ".join(
+        json.dumps(r.to_json(), indent=2, ensure_ascii=True).replace("\n", "\n    ")
+        for r in reports)
+    body = f"[\n    {items}\n  ]" if reports else "[]"
+    return f'{{\n  "version": "1",\n  "reports": {body}\n}}\n'
 
 
 def strip_timing(json_text: str) -> str:

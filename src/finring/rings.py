@@ -42,7 +42,11 @@ from .errors import (
 )
 from .reports import ValidationReport, Violation
 
-_TABLE_DTYPE = np.int32
+# Element indices are below the order, which the size guard caps at the
+# dtype's maximum (`config.set_size_guard`), so int16 holds every one.
+# Arithmetic that meets an order is done in int64 unless it provably stays
+# below the ring's order, as each such place says.
+_TABLE_DTYPE = np.int16
 
 # Provenance tags, fixed vocabulary.
 PROVENANCES = (
@@ -115,8 +119,9 @@ class FiniteRng:
         check: bool = True,
         additive_gens=None,
     ):
-        add = np.ascontiguousarray(np.asarray(add, dtype=_TABLE_DTYPE))
-        mul = np.ascontiguousarray(np.asarray(mul, dtype=_TABLE_DTYPE))
+        # range-checked at the caller's width first, so that no entry wraps
+        # when narrowed to the table dtype
+        add, mul = np.asarray(add), np.asarray(mul)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
             raise MalformedTable("addition table must be square")
         n = int(add.shape[0])
@@ -129,6 +134,8 @@ class FiniteRng:
         for table, which in ((add, "addition"), (mul, "multiplication")):
             if int(table.min()) < 0 or int(table.max()) >= n:
                 raise MalformedTable(f"{which} table entry out of range 0..{n - 1}")
+        add = np.ascontiguousarray(add, dtype=_TABLE_DTYPE)
+        mul = np.ascontiguousarray(mul, dtype=_TABLE_DTYPE)
         zero = int(zero)
         if not 0 <= zero < n:
             raise MalformedTable("zero index out of range")
@@ -520,9 +527,9 @@ def from_tables(
     provenance: str = "table",
     name: str | None = None,
 ) -> FiniteRng:
-    """Build a ring from raw tables. one="auto" detects an identity if any."""
-    add = np.asarray(add, dtype=_TABLE_DTYPE)
-    mul = np.asarray(mul, dtype=_TABLE_DTYPE)
+    """Build a ring from raw tables. one="auto" detects an identity if any.
+    The tables keep the caller's width until `FiniteRng` range-checks them."""
+    add, mul = np.asarray(add), np.asarray(mul)
     if one == "auto":
         if add.ndim != 2 or add.shape != mul.shape or add.shape[0] != add.shape[1]:
             raise MalformedTable("tables must be square and of equal shape")
@@ -541,9 +548,12 @@ def rename(ring: FiniteRng, name: str) -> FiniteRng:
 
 
 def _cyclic(d: int) -> np.ndarray:
-    """The addition table of Z/d, (i + j) mod d."""
-    table = np.add.outer(*[np.arange(d, dtype=_TABLE_DTYPE)] * 2)
-    table[table >= d] -= d
+    """The addition table of Z/d, (i + j) mod d, as i - (d - j) plus d where
+    that is negative: every value lies in -d..d-1, so the table dtype holds
+    it for any d within the guard, where i + j could reach 2d - 2."""
+    r = np.arange(d, dtype=_TABLE_DTYPE)
+    table = np.subtract.outer(r, d - r)
+    table[table < 0] += d
     return table
 
 
@@ -636,7 +646,9 @@ def from_structure(factors: Sequence[int | FiniteRng], products, one: int | None
               else (f.add, f.zero, f.additive_gens) for f in factors]
     zero, gens = _embedded_gens(dims, [z for _, z, _ in groups], [g for _, _, g in groups])
     add = groups[-1][0]
-    for table, _, _ in reversed(groups[:-1]):  # digit by digit, the last first
+    # digit by digit, the last first; each code is below k * w <= n, which
+    # the guard check above keeps within the table dtype
+    for table, _, _ in reversed(groups[:-1]):
         k, w = table.shape[0], add.shape[0]
         add = (table[:, None, :, None] * w + add[None, :, None, :]).reshape(k * w, k * w)
     c = np.asarray(products, dtype=np.int64).reshape(-1, gens.size)
@@ -890,12 +902,15 @@ def is_reduced(ring: FiniteRng) -> bool:
 
 
 def is_domain(ring: FiniteRng) -> bool:
-    """True for a nonzero unital ring without zero divisors."""
+    """True for a nonzero unital ring without zero divisors: each nonzero x
+    has x * y = 0 for y = 0 alone, so one zero in its row, while the row
+    of 0 is all zeros. One boolean table, with no copy of the nonzero
+    block."""
     ring.require_one()
     if ring.order == 1:
         return False
-    nz = np.flatnonzero(np.arange(ring.order) != ring.zero)
-    return not (_sub(ring.mul, nz, nz) == ring.zero).any()
+    zeros = np.count_nonzero(ring.mul == ring.zero, axis=1)
+    return int(np.count_nonzero(zeros == 1)) == ring.order - 1
 
 
 def is_field(ring: FiniteRng) -> bool:
@@ -925,11 +940,16 @@ def _digits(codes, dims: Sequence[int]) -> list[np.ndarray]:
 
 def _code(digits, dims: Sequence[int], dtype=np.int64):
     """The mixed-radix code of `digits` over `dims`, inverse of `_digits`;
-    `digits` may be a generator, so one digit array is in flight at a time.
-    `dtype` must hold the product of `dims`."""
+    `digits` may be a generator, so one digit array is in flight at a time,
+    and the code is updated in place once it has their shape. `dtype` must
+    hold the product of `dims`."""
     code = np.zeros((), dtype=dtype)
     for digit, dim in zip(digits, dims):
-        code = code * dim + digit
+        if code.shape == np.shape(digit):
+            code *= dim
+            code += digit
+        else:
+            code = code * dim + digit
     return code
 
 
@@ -1007,7 +1027,9 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
     (s, y_s, ...) that make up its x is (0, f_1, ..., f_n) with each f_k in F."""
     guard, right = config.size_guard(), list(right)
     dims = [f.order for f in right]
-    alpha, beta = np.asarray(alpha, dtype=np.int64), np.asarray(beta, dtype=np.int64)
+    # beta keeps the caller's integer width: it may hold one key per code over
+    # the right factors
+    alpha, beta = np.asarray(alpha, dtype=np.int64), np.asarray(beta)
     if n < 1:
         raise InvalidParameter("a fiber product needs n >= 1")
     if n > guard:  # before any power of n
@@ -1032,17 +1054,20 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
     slots = [start[xs[t[0]]] + tk for tk in t[1:]]  # where each y_k is in ys
     coords = np.stack([xs[t[0]]] + [ys[s] for s in slots], axis=1)
 
+    # Codes below are sums of a table-dtype index times a power of the
+    # fiber; each is widened to int64 (or a Python int) before it meets one.
     def position(rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         x, y = rows[:, 0], rows[:, 1:]
         inside = (rows >= 0).all(axis=1) & (idx[x] >= 0) & (beta[y] == alpha[x, None]).all(axis=1)
-        return np.where(inside, idx[x] * fiber ** n + rank[y] @ fiber ** np.arange(n)[::-1], -1)
+        at = idx[x].astype(np.int64) * fiber ** n + rank[y] @ fiber ** np.arange(n)[::-1]
+        return np.where(inside, at, -1)
 
     def ends(e: str) -> tuple[int, int, int]:  # x, y and the index of (0, ..., 0) or (1, ..., 1)
         x, y = getattr(left, e), 0
         for f in right:
             y = y * f.order + getattr(f, e)
-        at = int(idx[x] * fiber ** n + rank[y] * sum(fiber ** k for k in range(n)))
+        at = int(idx[x]) * fiber ** n + int(rank[y]) * sum(fiber ** k for k in range(n))
         return x, y, at if idx[x] >= 0 and alpha[x] == beta[y] else -1
 
     zero = ends("zero")[2]
@@ -1069,6 +1094,8 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
             raise InvalidParameter(f"fiber product is not closed under {word}")
         if one_y or fiber == 1:  # or every rank is 0, and the elements are the x in order
             return U if one_y else T
+        # in place, in the table dtype: after each slot a cell is the code of
+        # its leading digits, below the order
         table = np.empty((order, order), dtype=_TABLE_DTYPE)
         for i0, i1 in _blocks(order):
             block = table[i0:i1]
@@ -1082,8 +1109,8 @@ def pair_subring(left: FiniteRng, right: Sequence[FiniteRng], alpha, beta, n: in
         x0, y0, at = ends("zero")
         f = ys[start[x0]:][:fiber]  # the fiber over 0, increasingly: ranks are places
         cells = (_sub(g.add, d, d) for g, d in zip(right, _digits(f, dims)))
-        s_f = _additive_generators(rank[_code(cells, dims)], int(rank[y0])) - rank[y0]
-        return np.concatenate([idx[left.additive_gens] * fiber ** n] + [
+        s_f = _additive_generators(rank[_code(cells, dims)], int(rank[y0])) - int(rank[y0])
+        return np.concatenate([idx[left.additive_gens].astype(np.int64) * fiber ** n] + [
             at + s_f * fiber ** (n - 1 - k) for k in range(n)])
 
     add, mul = fill("add", "addition"), fill("mul", "multiplication")

@@ -398,7 +398,8 @@ def localization(ring: FiniteRng, s_indices) -> tuple:
     first = _first_at(class_of[ring.mul.take(reps[units.argmax(axis=1)], 1)], reps.size)
     is_least = np.zeros(ring.order * s_idx.size, dtype=bool)
     is_least[first] = True
-    cls = (np.cumsum(is_least, dtype=_TABLE_DTYPE)[first] - 1)[class_of]  # by least pair
+    # by least pair; the count of classes is at most the order
+    cls = (np.cumsum(is_least, dtype=_TABLE_DTYPE)[first] - 1)[class_of]
     reps = _first_at(cls, reps.size)
     ra, rs = np.divmod(np.flatnonzero(is_least), s_idx.size)
     labels = [f"{ring.labels[a]}/{ring.labels[s]}" for a, s in zip(ra, s_idx[rs])]

@@ -507,11 +507,11 @@ def _ref_ring(add, mul, zero, one, labels, name):
 
 def zmod_tables(n: int):
     import numpy as np
-    from finring.rings import _TABLE_DTYPE, _blocks
+    from finring.rings import _blocks
 
     r = np.arange(n, dtype=np.int64)
-    add = np.empty((n, n), dtype=_TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
+    add = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
     for i0, i1 in _blocks(n):
         add[i0:i1] = (r[i0:i1, None] + r) % n
         mul[i0:i1] = (r[i0:i1, None] * r) % n
@@ -523,7 +523,7 @@ def galois_field_tables(q: int):
     import itertools
 
     import numpy as np
-    from finring.rings import _TABLE_DTYPE, _blocks, _is_irreducible
+    from finring.rings import _blocks, _is_irreducible
 
     p = next(d for d in range(2, q + 1) if q % d == 0)
     k, t = 0, q
@@ -545,8 +545,8 @@ def galois_field_tables(q: int):
         red[d] = (shifted[:k] - top * np.array(irr[:k], dtype=np.int64)) % p
     powers = p ** np.arange(k, dtype=np.int64)
     E = (np.arange(q)[:, None] // powers[None, :]) % p
-    add = np.empty((q, q), dtype=_TABLE_DTYPE)
-    mul = np.empty((q, q), dtype=_TABLE_DTYPE)
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
     for i0, i1 in _blocks(q, 1 << 19):
         add[i0:i1] = ((E[i0:i1, None, :] + E[None, :, :]) % p) @ powers
         conv = np.zeros((i1 - i0, q, 2 * k - 1), dtype=np.int64)
@@ -571,7 +571,7 @@ def trunc_poly_tables(base, num_vars: int, max_deg: int):
     import math
 
     import numpy as np
-    from finring.rings import _TABLE_DTYPE, _blocks, _code, _digits, _mono_str, _monomials
+    from finring.rings import _blocks, _code, _digits, _mono_str, _monomials
 
     m = math.comb(num_vars + max_deg, num_vars)
     name = f"pol({base.name},{num_vars},{max_deg})"
@@ -585,11 +585,11 @@ def trunc_poly_tables(base, num_vars: int, max_deg: int):
          else None for e2 in monos]
         for e1 in monos
     ]
-    add = np.empty((order, order), dtype=_TABLE_DTYPE)
-    mul = np.empty((order, order), dtype=_TABLE_DTYPE)
+    add = np.empty((order, order), dtype=np.int64)
+    mul = np.empty((order, order), dtype=np.int64)
     for i0, i1 in _blocks(order):
-        add[i0:i1] = _code((base.add[d[i0:i1, None], d] for d in digits), dims, _TABLE_DTYPE)
-        res = [np.full((i1 - i0, order), base.zero, dtype=_TABLE_DTYPE) for _ in range(m)]
+        add[i0:i1] = _code((base.add[d[i0:i1, None], d] for d in digits), dims)
+        res = [np.full((i1 - i0, order), base.zero, dtype=np.int64) for _ in range(m)]
         for s in range(m):
             for t in range(m):
                 p = prod_slot[s][t]
@@ -597,7 +597,7 @@ def trunc_poly_tables(base, num_vars: int, max_deg: int):
                     continue
                 term = base.mul[digits[s][i0:i1, None], digits[t][None, :]]
                 res[p] = base.add[res[p], term]
-        mul[i0:i1] = _code(res, dims, _TABLE_DTYPE)
+        mul[i0:i1] = _code(res, dims)
     zero = int(_code([base.zero] * m, dims))
     one = int(_code([base.one] + [base.zero] * (m - 1), dims)) if base.has_one else None
     labels = []

@@ -63,6 +63,8 @@ from oracles import (
     n_amalgam_via_power,
     nilpotent_set,
     pullback_pairs,
+    trunc_poly_tables,
+    zmod_tables,
 )
 
 
@@ -352,6 +354,25 @@ def test_alt_pullback_fiber_products_match_the_flat_code_construction(monkeypatc
         old, pairs = fiber_product_via_flat_codes([left], right, alpha.tolist(), beta.tolist())
         assert fp.coords.tolist() == [list(p) for p in pairs]
         _same_ring(fp.ring, old)
+
+
+def test_kernels_past_order_181_match_the_int64_oracles():
+    """From order 182 on, a code x * n + y no longer fits in int16, the
+    table dtype. At orders 512 to 2048, zmod, trunc_poly and two n-fold
+    amalgams against oracles that compute every code and table in int64.
+    `FiniteRng` range-checks a table before it narrows it, so equal tables
+    are equal as int64 values."""
+    B = trunc_poly(zmod(2), 1, 8)  # order 512
+    _same_ring(B, trunc_poly_tables(zmod(2), 1, 8))
+    _same_ring(zmod(2048), zmod_tables(2048))
+    r = zmod(128)
+    for f, J, n in [(identity_hom(B), ideal_from_generators(B, [B.index_of("X^7")]), 1),
+                    (identity_hom(r), ideal_from_generators(r, [64]), 2)]:
+        new = n_amalgam(f, J, n)
+        old, coords = n_amalgam_via_flat_codes(f, J, n)
+        assert new.ring.order == old.order >= 512
+        assert np.array_equal(new.coords, coords)
+        _same_ring(new.ring, old)
 
 
 def test_iterated_iso_runs_where_only_the_power_ring_exceeded_the_guard():

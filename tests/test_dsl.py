@@ -462,6 +462,18 @@ def test_cli_guard_below_one_is_a_usage_error(tmp_path, capsys, guard):
         f"finring check: error: argument --guard: must be at least 1, got {guard}")
 
 
+def test_cli_guard_above_the_table_dtype_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "s.fr"
+    script.write_text("check cardinality(dup(zmod(2), gen(zmod(2); 1)));\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(script), "--guard", "32768"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "finring check: error: argument --guard: must be at most 32767, got 32768")
+
+
 def test_digits_that_are_not_decimal_are_syntax_errors(tmp_path, capsys):
     with pytest.raises(ScriptSyntaxError) as err:
         parse("ring A = zmod(\u00b2);")

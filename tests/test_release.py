@@ -127,13 +127,34 @@ ring C = product(zmod(2), zmod(1024));
 
 def test_three_guard_order_instances_run_in_one_gib(tmp_path):
     # Order-4096 duplications, each checked three times in one process:
-    # holding all three at once needs about 1.4 GB. The limit is set by the
-    # child on itself only.
+    # holding all three at once peaks at about 610 MB RSS with int16 tables
+    # (about 1.2 GB with int32 ones), and needs a 704 MiB address space; the
+    # run that releases each instance after its last check needs 320 MiB
+    # (least passing limits in 32 MiB steps, 2-CPU x86-64 host, Python 3.11,
+    # numpy 2.4). The limit is set by the child on itself only.
+    done = _check_under_limit(tmp_path, GUARD_SCRIPT, 1 << 30)
+    assert done.stdout.count("PASS") == 9, done.stdout
+
+
+def test_alt_pullbacks_at_guard_order_run_in_448_mib(tmp_path):
+    # The heaviest per-instance check at order 4096. Its least passing
+    # address-space limit, in 32 MiB steps on a 2-CPU x86-64 host (Python
+    # 3.11, numpy 2.4), is 512 MiB with int32 tables and 320 MiB with int16
+    # ones and int32 codes over A x B/J; 448 MiB is two steps below the
+    # first and four above the second.
+    script = "check alt_pullbacks(dup(zmod(2048), gen(zmod(2048); 1024)));\n"
+    done = _check_under_limit(tmp_path, script, 448 << 20)
+    assert done.stdout.count("PASS") == 1, done.stdout
+
+
+def _check_under_limit(tmp_path, text: str, limit: int) -> subprocess.CompletedProcess:
+    """`finring check` of the script in a fresh child that caps its own
+    address space at `limit` bytes; asserts that it exits with 0."""
     path = tmp_path / "guard.fr"
-    path.write_text(GUARD_SCRIPT, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code = (
         "import resource, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
         "from finring.dsl_cli import main; sys.exit(main(['check', sys.argv[1]]))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
@@ -141,4 +162,4 @@ def test_three_guard_order_instances_run_in_one_gib(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count("PASS") == 9, done.stdout
+    return done

@@ -12,7 +12,7 @@ import pytest
 
 import finring
 
-from finring.config import guard_limit
+from finring.config import guard_limit, set_size_guard, size_guard
 from finring.errors import InvalidParameter, MalformedTable, SizeGuardExceeded
 from finring.rings import (
     FiniteRng,
@@ -28,6 +28,7 @@ from finring.rings import (
     zmod,
 )
 
+from oracles import is_domain as naive_is_domain
 from oracles import nilpotent_set, poly_mul_truncated
 
 
@@ -108,6 +109,13 @@ def test_galois_field_rejects_non_prime_power():
         galois_field(6)
 
 
+def test_is_domain_matches_the_naive_scan():
+    rings = [zmod(n) for n in range(1, 33)] + [galois_field(q) for q in (4, 8, 9, 16, 25)] + [
+        direct_product([zmod(2), zmod(3)]), trunc_poly(zmod(2), 1, 2), trunc_poly(zmod(3), 2, 1)]
+    for r in rings:
+        assert is_domain(r) == naive_is_domain(r.mul.tolist(), r.zero, r.one), r.name
+
+
 def test_from_tables_rejects_broken_distributivity():
     add = np.array([[0, 1], [1, 0]])
     mul = np.array([[0, 1], [1, 1]])  # 0*1 = 1 contradicts (0+0)*1 = 0*1 + 0*1
@@ -128,6 +136,36 @@ def test_size_guard_blocks_large_constructions():
             zmod(17)
         zmod(16)
     zmod(17)
+
+
+def test_size_guard_is_refused_outside_one_to_the_table_dtype_maximum():
+    # element indices are stored as int16, so no order may pass 32767
+    for n in (0, -3, 32768):
+        with pytest.raises(InvalidParameter):
+            set_size_guard(n)
+        with pytest.raises(InvalidParameter):
+            with guard_limit(n):
+                pass
+    assert size_guard() == 4096
+    with guard_limit(32767):
+        assert size_guard() == 32767
+    assert size_guard() == 4096
+
+
+@pytest.mark.parametrize("entry", [
+    np.array([[0, 2**32], [0, 1]], dtype=np.int64),  # wrapped to 0 by an int32 cast
+    np.array([[0, 65536], [0, 1]], dtype=np.int64),  # wrapped to 0 by an int16 cast
+    [[0, 70000], [0, 1]],  # beyond int16: numpy's OverflowError when cast first
+], ids=["int64 2^32", "int64 65536", "list 70000"])
+def test_a_table_entry_out_of_range_is_refused_before_narrowing(entry):
+    tables = np.array([[0, 1], [1, 0]]), np.array([[0, 0], [0, 1]])
+    for k in range(2):
+        arg = list(tables)
+        arg[k] = entry
+        with pytest.raises(MalformedTable, match="entry out of range"):
+            FiniteRng(*arg, 0, 1, ["0", "1"])
+        with pytest.raises(MalformedTable, match="entry out of range"):
+            from_tables(*arg, 0)
 
 
 def test_element_wrapper_arithmetic():
