@@ -346,17 +346,20 @@ def is_radical(I: Ideal) -> bool:
 def regular_elements_mod(ring: FiniteRng, I: Ideal) -> np.ndarray:
     """Indices of all s whose class in ring/I is nonzero and not a zero
     divisor. When ring/I is the zero ring the convention is that every
-    element qualifies."""
-    reps, class_of = coset_representatives(ring, I)
-    m = reps.size
-    if m == 1:
+    element qualifies. ring/I is read from `quotient_ring`'s cache, and
+    ring/{0} is ring itself, so no table is gathered here."""
+    _require_same_ring(ring, I)
+    if I.size == ring.order:
         return np.arange(ring.order)
-    mul = class_of[_sub(ring.mul, reps, reps)]
-    zero = int(class_of[ring.zero])
-    nonzero_cols = np.arange(m) != zero
-    kills = (mul[:, nonzero_cols] == zero).any(axis=1)
-    regular_class = ~kills & (np.arange(m) != zero)
-    return np.flatnonzero(regular_class[class_of])
+    if I.size == 1:
+        mul, zero, class_of = ring.mul, ring.zero, None
+    else:
+        quotient, proj = quotient_ring(ring, I)
+        mul, zero, class_of = quotient.mul, quotient.zero, proj.map
+    # x*0 = 0, so a class is regular exactly when its row holds zero once;
+    # the zero row holds it in every column
+    regular = np.count_nonzero(mul == zero, axis=1) == 1
+    return np.flatnonzero(regular if class_of is None else regular[class_of])
 
 
 def localization(ring: FiniteRng, s_indices) -> tuple:

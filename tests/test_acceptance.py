@@ -9,16 +9,11 @@ the unit test oracles.
 from __future__ import annotations
 
 import json
-import os
-import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-import finring
 from finring.dsl_cli import evaluate, generate_catalog, parse
 from finring.reports import (
     FAIL,
@@ -30,6 +25,8 @@ from finring.reports import (
 )
 from finring.rings import zmod
 from finring.subobjects import all_ideals, ideal_from_generators
+
+from test_guard import run_child
 
 SEED, BUDGET = 0, 256
 GOLDEN = Path(__file__).parent / "golden" / "catalog_seed0_b256.json"
@@ -289,9 +286,7 @@ def test_catalog_under_python_dash_OO_matches_golden_json():
         f"script = parse(generate_catalog({SEED}, {BUDGET}))\n"
         "sys.stdout.write(strip_timing(reports_to_json(evaluate(script))))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-OO", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_child(["-OO", "-c", code], timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == GOLDEN.read_text()
 
@@ -307,7 +302,5 @@ def test_catalog_never_imports_numpy_ma():
         f"reports_to_json(evaluate(parse(generate_catalog({SEED}, {BUDGET}))))\n"
         "sys.exit('numpy.ma' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_child(["-c", code], timeout=300)
     assert done.returncode == 0, done.stderr or "numpy.ma was imported"

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from test_guard import run_child
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,8 +18,6 @@ def test_there_are_demos():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    done = run_child([str(demo)], timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""

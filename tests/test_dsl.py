@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import finring
 
 from finring.dsl_cli import (
     Evaluator,
@@ -36,6 +33,8 @@ from finring.errors import (
 from finring.morphisms import enumerate_homs
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS, strip_timing
 from finring.rings import characteristic, zmod
+
+from test_guard import CHILD_ENV, run_child
 
 
 def test_tokenizer_tracks_positions_and_comments():
@@ -404,9 +403,7 @@ def test_strip_timing_normalizes_reports():
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "finring", "explain", "cardinality"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = run_child(["-m", "finring", "explain", "cardinality"], timeout=120)
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("cardinality(")
@@ -425,8 +422,7 @@ def test_cli_on_a_closed_pipe(tmp_path, args, code):
     script, out = tmp_path / "s.fr", tmp_path / "out.json"
     script.write_text("ring A = zmod(4);\ncheck cardinality(dup(A, gen(A; 2)));\n")
     args = [a.format(script=script, out=out) for a in args]
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "finring", *args], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "finring", *args], env=CHILD_ENV,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     try:
@@ -522,13 +518,8 @@ def test_huge_numbers_are_refused_before_big_integer_work(tmp_path, check, note)
     # huge allocation fails the test instead of stalling the suite
     script, out = tmp_path / "s.fr", tmp_path / "r.json"
     script.write_text(f"check {check};\n")
-    code = ("import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-            "from finring.dsl_cli import main; sys.exit(main(sys.argv[1:]))")
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, "check", str(script),
-                           "--json", str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = run_child(["-m", "finring", "check", str(script), "--json", str(out)],
+                     limit=2 << 30, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     report = json.loads(out.read_text())["reports"][0]
     assert report["status"] == HYPOTHESIS_NOT_MET

@@ -1,5 +1,6 @@
-"""`localization` against the fraction-pair route it replaced, its typed
-refusals, and the CPI checks it serves at guard order.
+"""`localization` against the fraction-pair route it replaced, and its
+typed refusals. The CPI checks it serves run at guard order in
+tests/test_guard.py.
 
 `localization` builds S^-1 A as A modulo the kernel of a -> a/1, which is
 onto in a finite ring. `localization_by_pairs` (tests/oracles.py) compares
@@ -9,15 +10,9 @@ identity, labels, name and canonical map on small rings only.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import finring
 from finring.errors import EmptySet, MissingIdentity, NotMultiplicativelyClosed
 from finring.rings import direct_product, galois_field, trunc_poly, zmod
 from finring.subobjects import (
@@ -106,50 +101,3 @@ def test_localization_matches_the_fraction_pair_route(ring):
 def test_localization_refusals_are_typed(ring, s, error, message):
     with pytest.raises(error, match=message):
         localization(ring, np.array(s, dtype=np.int64))
-
-
-GUARD_CPI = {
-    'cpi_prime(product(gf(4), zmod(1024)), gen(product(gf(4), zmod(1024)); "(0,1)"))':
-        "PASS",
-    'cpi_ideal(product(gf(4), zmod(1024)), gen(product(gf(4), zmod(1024)); "(0,1)"))':
-        "PASS",
-    'cpi_ideal(product(zmod(2), zmod(2048)), gen(product(zmod(2), zmod(2048)); "(0,1)"))':
-        "PASS",
-    # a field, localized at its 4095 nonzero elements: A/P, the
-    # localization, its residue field and the amalgam, all of order 4096
-    "cpi_prime(gf(4096), gen(gf(4096); 0))":
-        "PASS",
-    # the localization at the odd residues has order 4096, the amalgam
-    # 4096 * 2048
-    "cpi_prime(zmod(4096), gen(zmod(4096); 2))":
-        "order 8388608 exceeds size guard 4096",
-}
-
-
-@pytest.mark.parametrize("check", list(GUARD_CPI), ids=[
-    "prime_gf4_x_z1024", "ideal_gf4_x_z1024", "ideal_z2_x_z2048", "prime_gf4096",
-    "prime_z4096"])
-def test_guard_order_cpi_checks_run_in_one_gib(tmp_path, check):
-    # Order-4096 rings localized at sets of 2048 to 4095 elements: each
-    # check runs in its own child under a 1 GiB address-space limit, which
-    # the child sets on itself only.
-    script = tmp_path / "cpi.fr"
-    script.write_text(f"check {check};\n", encoding="utf-8")
-    out = tmp_path / "cpi.json"
-    code = (
-        "import resource, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-        "from finring.dsl_cli import main; "
-        "sys.exit(main(['check', '--json', sys.argv[2], sys.argv[1]]))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", code, str(script), str(out)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    expected = GUARD_CPI[check]
-    if expected == "PASS":
-        assert done.stdout.startswith("PASS"), done.stdout
-    else:
-        assert done.stdout.startswith("HYPOTHESIS_NOT_MET"), done.stdout
-        assert expected in out.read_text(encoding="utf-8")

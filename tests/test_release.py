@@ -1,22 +1,19 @@
 """A run holds each value until its last check and no longer: `evaluate`
 drops a key after the last check that touches it, builds every key once,
 and leaves no ring in a reference cycle, so the rings a run is done with
-are freed by reference counting while it goes on."""
+are freed by reference counting while it goes on. The run at guard order
+that shows it under an address-space limit is a row of tests/test_guard.py."""
 
 from __future__ import annotations
 
 import collections
 import gc
 import importlib.util
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-import finring
 from finring import dsl_cli
 from finring.dsl_cli import evaluate, generate_catalog, parse
 from finring.morphisms import RingHom
@@ -113,53 +110,3 @@ def test_a_value_is_dropped_after_its_last_check(monkeypatch):
         ["dup(zmod(6), gen(zmod(6); 2))", "gen(zmod(6); 2)", "zmod(6)"],
     ]
     assert evaluators[0].cache == {}
-
-
-GUARD_SCRIPT = """\
-ring A = zmod(2048);
-ring B = trunc_poly(zmod(2), 1, 10);
-ring C = product(zmod(2), zmod(1024));
-""" + "".join(
-    f"check {check}(dup({ring}, gen({ring}; {label})));\n"
-    for ring, label in (("A", "1024"), ("B", '"X^10"'), ("C", '"(1,0)"'))
-    for check in ("cardinality", "pull_identity", "canonical_isos"))
-
-
-def test_three_guard_order_instances_run_in_one_gib(tmp_path):
-    # Order-4096 duplications, each checked three times in one process:
-    # holding all three at once peaks at about 610 MB RSS with int16 tables
-    # (about 1.2 GB with int32 ones), and needs a 704 MiB address space; the
-    # run that releases each instance after its last check needs 320 MiB
-    # (least passing limits in 32 MiB steps, 2-CPU x86-64 host, Python 3.11,
-    # numpy 2.4). The limit is set by the child on itself only.
-    done = _check_under_limit(tmp_path, GUARD_SCRIPT, 1 << 30)
-    assert done.stdout.count("PASS") == 9, done.stdout
-
-
-def test_alt_pullbacks_at_guard_order_run_in_448_mib(tmp_path):
-    # The heaviest per-instance check at order 4096. Its least passing
-    # address-space limit, in 32 MiB steps on a 2-CPU x86-64 host (Python
-    # 3.11, numpy 2.4), is 512 MiB with int32 tables and 320 MiB with int16
-    # ones and int32 codes over A x B/J; 448 MiB is two steps below the
-    # first and four above the second.
-    script = "check alt_pullbacks(dup(zmod(2048), gen(zmod(2048); 1024)));\n"
-    done = _check_under_limit(tmp_path, script, 448 << 20)
-    assert done.stdout.count("PASS") == 1, done.stdout
-
-
-def _check_under_limit(tmp_path, text: str, limit: int) -> subprocess.CompletedProcess:
-    """`finring check` of the script in a fresh child that caps its own
-    address space at `limit` bytes; asserts that it exits with 0."""
-    path = tmp_path / "guard.fr"
-    path.write_text(text, encoding="utf-8")
-    code = (
-        "import resource, sys; "
-        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-        "from finring.dsl_cli import main; sys.exit(main(['check', sys.argv[1]]))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done

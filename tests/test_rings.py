@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import finring
 
 from finring.config import guard_limit, set_size_guard, size_guard
 from finring.errors import InvalidParameter, MalformedTable, SizeGuardExceeded
@@ -30,6 +23,7 @@ from finring.rings import (
 
 from oracles import is_domain as naive_is_domain
 from oracles import nilpotent_set, poly_mul_truncated
+from test_guard import run_child
 
 
 def test_zmod_tables_match_modular_arithmetic():
@@ -191,9 +185,7 @@ def test_more_than_64_factors_or_monomials():
         "r = trunc_poly(zmod(1), 4000, 1)\n"
         "print(r.order, r.one, r.labels[0], r.name)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_child(["-c", code], timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "0", "0", "pol(zmod(1),4000,1)"]
 
@@ -211,9 +203,7 @@ def test_trunc_poly_refuses_before_listing_monomials():
         "    except SizeGuardExceeded as exc:\n"
         "        print(exc)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_child(["-c", code], timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "trunc_poly order 2^2704156 exceeds size guard 4096",

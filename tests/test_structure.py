@@ -6,15 +6,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import finring
 from finring import amalgamation, constructions
 from finring.dsl_cli import evaluate, generate_catalog, parse
 from finring.errors import MalformedTable
@@ -161,49 +156,15 @@ def test_constants_of_the_wrong_shape_or_range_are_refused():
         from_structure([4], [[4]], None, "abcd", "table", "out of range")
 
 
-# -- guard order ---------------------------------------------------------------------
+# -- order 1024 ----------------------------------------------------------------------
 
-# Each order-4096 ring is built in a fresh child that caps its own address
-# space at 2 GiB; the child times the build, which must stay under 20 s,
-# then validates the ring with `validate_rng` (3-4 s for gf(4096) on a
-# 2-CPU host, so the child's own timeout is wider). Meanwhile the same
-# families at order 1024 are compared with the reference builders here.
-GUARD_ORDER = ("galois_field(4096)", "trunc_poly(zmod(2), 1, 11)", "trunc_poly(zmod(4), 2, 2)",
-               "direct_product([zmod(2)] * 12)", "direct_product([zmod(64)] * 2)")
-BUILD_LIMIT_S = 20
+# The order-4096 builds of these families run in tests/test_guard.py.
 
 
-def test_guard_order_rings_build_fast_and_validate():
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    children = []
-    try:
-        for expr in GUARD_ORDER:
-            code = (
-                "import resource, time; "
-                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-                "from finring.rings import direct_product, galois_field, trunc_poly, "
-                "validate_rng, zmod; "
-                f"t = time.perf_counter(); r = {expr}; t = time.perf_counter() - t; "
-                "print(r.order, t, validate_rng(r).ok)"
-            )
-            children.append(subprocess.Popen([sys.executable, "-c", code], env=env,
-                                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                             text=True))
-        for ring, ref in (
-            (galois_field(1024), oracles.galois_field_tables(1024)),
-            (trunc_poly(zmod(2), 1, 9), oracles.trunc_poly_tables(zmod(2), 1, 9)),
-            (trunc_poly(zmod(4), 1, 4), oracles.trunc_poly_tables(zmod(4), 1, 4)),
-        ):
-            assert ring.order == 1024 and _same(ring, ref), ring.name
-        for expr, child in zip(GUARD_ORDER, children):
-            out, err = child.communicate(timeout=300)
-            assert child.returncode == 0, err
-            order, seconds, ok = out.split()
-            assert order == "4096" and ok == "True", (expr, out)
-            assert float(seconds) < BUILD_LIMIT_S, (expr, seconds)
-    finally:
-        for child in children:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+def test_order_1024_rings_match_the_reference_builders():
+    for ring, ref in (
+        (galois_field(1024), oracles.galois_field_tables(1024)),
+        (trunc_poly(zmod(2), 1, 9), oracles.trunc_poly_tables(zmod(2), 1, 9)),
+        (trunc_poly(zmod(4), 1, 4), oracles.trunc_poly_tables(zmod(4), 1, 4)),
+    ):
+        assert ring.order == 1024 and _same(ring, ref), ring.name

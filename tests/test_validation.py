@@ -3,16 +3,10 @@ the orders it makes reachable under the size guard."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import finring
 from finring import morphisms, rings, subobjects
 from finring.amalgamation import duplication
 from finring.config import guard_limit
@@ -207,43 +201,13 @@ def test_additive_generators_are_greedy_and_logarithmic():
 
 # -- orders the size guard admits -------------------------------------------------
 
+# Order-4096 builds, under a capped address space, run in tests/test_guard.py.
 
 def test_order_1024_builds_and_validates():
     assert validate_rng(zmod(1024)).ok
     r = zmod(512)
     am = duplication(r, ideal_from_generators(r, [256]))
     assert am.ring.order == 1024
-
-
-def test_order_4096_builds_under_a_2_gib_address_space():
-    # The limit is set by the child on itself only.
-    code = (
-        "import resource; "
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-        "from finring import zmod; print(zmod(4096).order)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["4096"]
-
-
-def test_order_4096_product_builds_under_a_2_gib_address_space():
-    # as above; the product is built from its factors' tables, unvalidated
-    code = (
-        "import resource; "
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-        "from finring import direct_product, zmod; "
-        "print(direct_product([zmod(64), zmod(64)]).order)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(finring.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["4096"]
 
 
 def test_orders_above_the_guard_are_refused():
