@@ -61,6 +61,7 @@ from oracles import (
     trunc_poly_tables,
     zmod_tables,
 )
+from test_guard import guard_run, reads, witnesses
 
 
 def _pairs_set(am):
@@ -428,6 +429,19 @@ def test_retraction_roundtrip_recovers_ideal():
     assert rep.witness("recovered_ideal_equals_J") == "True"
 
 
+# Order-4096 section searches out of Boolean rings: the guard sweep's row
+# boolean_sections prints one line per instance, in this order, from a
+# child under a 1 GiB address-space limit.
+GUARD_BOOLEAN = ["roundtrip_dup_z2_11", "criterion_z2_12_onto_z2"]
+
+
+@reads("boolean_sections")
+@pytest.mark.parametrize("instance", GUARD_BOOLEAN)
+def test_guard_order_boolean_section_searches_run_in_one_gib(request, instance):
+    lines = guard_run(request, "boolean_sections").child.stdout.splitlines()
+    assert lines[GUARD_BOOLEAN.index(instance)].split() == [PASS, "True"]
+
+
 def test_pullback_reduced_implications():
     p22, r2 = direct_product([zmod(2), zmod(2)]), zmod(2)
     alpha = enumerate_homs(p22, r2)[0]
@@ -481,6 +495,14 @@ def test_alt_pullbacks_pass_where_a_x_b_exceeds_the_guard(n):
     assert rep.witness("presentation_over_A_x_BJ") == "True"
     assert rep.witness("presentation_over_AI_x_BJ") == "True"
     assert rep.witness("order") == str(2 * n)
+
+
+@reads("dup_zmod2048")
+def test_alt_pullbacks_at_order_4096_under_a_2_gib_address_space(request):
+    # the guard sweep's row dup_zmod2048 runs it first, under 448 MiB
+    report = guard_run(request, "dup_zmod2048").reports["alt_pullbacks(dup(A, J))"]
+    assert report["status"] == PASS
+    assert list(witnesses(report).values()) == ["True", "True", "4096"]
 
 
 def test_image_plus_ideal_subring():

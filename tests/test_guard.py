@@ -5,9 +5,10 @@ and every order just above the guard is refused with a typed note.
 Each row of `ROWS` is one fresh interpreter that builds its instances once
 (a run drops each value after its last check, so its peak is its largest
 live set) and runs every check on them. The sweep runs the rows at most two
-at a time, the heaviest first, for a 2-CPU, 8 GB host. `run_child` and
-`run_children` are also the one harness of every other test that starts a
-child.
+at a time, the heaviest first, for a 2-CPU, 8 GB host. Tests in other files
+that check one instance of a row read the same child through `guard_run`.
+`run_child` and `run_children` are also the one harness of every other test
+that starts a child.
 """
 
 from __future__ import annotations
@@ -281,32 +282,64 @@ ROWS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def sweep(request, tmp_path_factory):
-    """The children of the rows this session selected, run once."""
-    tmp = tmp_path_factory.mktemp("guard")
-    chosen = {item.callspec.params["row"].name for item in request.session.items
-              if item.originalname == "test_guard_row"}
-    rows = [row for row in ROWS if row.name in chosen]
-    return tmp, dict(zip((row.name for row in rows),
-                         run_children([row.job(tmp) for row in rows])))
+def reads(*names: str):
+    """Mark a test outside this file as reading these rows' children, so
+    that they run in the one batch of the session's rows."""
+    def mark(test):
+        test.guard_rows = names
+        return test
+    return mark
+
+
+@dataclass(frozen=True)
+class Run:
+    child: Child
+    reports: dict  # "check(instance)" -> its JSON report, for a DSL row
+
+
+_RUNS: dict[str, Run] = {}
+
+
+def guard_run(request, name: str) -> Run:
+    """Row `name`'s child, after asserting exit 0, empty stderr and its
+    peak RSS bound. The first call runs, at most AT_ONCE at a time, the
+    child of every row that the session's selected tests read, each once."""
+    if name not in _RUNS:
+        wanted = {name}
+        for item in request.session.items:
+            spec = getattr(item, "callspec", None)
+            if spec is not None and isinstance(spec.params.get("row"), Row):
+                wanted.add(spec.params["row"].name)
+            wanted.update(getattr(getattr(item, "function", None), "guard_rows", ()))
+        rows = [row for row in ROWS if row.name in wanted and row.name not in _RUNS]
+        tmp = request.getfixturevalue("tmp_path_factory").mktemp("guard")
+        for row, child in zip(rows, run_children([row.job(tmp) for row in rows])):
+            out = tmp / f"{row.name}.json"
+            reports = {} if not out.exists() else {
+                f"{r['check']}({r['instance']})": r
+                for r in json.loads(out.read_text(encoding="utf-8"))["reports"]}
+            _RUNS[row.name] = Run(child, reports)
+    run, row = _RUNS[name], next(row for row in ROWS if row.name == name)
+    assert (run.child.returncode, run.child.stderr) == (0, ""), run.child.stderr
+    assert run.child.peak_rss <= row.c * N * N + B, (run.child.peak_rss >> 20, "MiB")
+    return run
+
+
+def witnesses(report: dict) -> dict:
+    return {w["name"]: w["value"] for w in report["witnesses"]}
 
 
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
-def test_guard_row(sweep, row):
-    tmp, children = sweep
-    child = children[row.name]
-    assert (child.returncode, child.stderr) == (0, ""), child.stderr
+def test_guard_row(request, row):
+    run = guard_run(request, row.name)
     if row.checks:
-        reports = json.loads((tmp / f"{row.name}.json").read_text(encoding="utf-8"))["reports"]
-        assert len(reports) == len(row.checks)
-        got = [(f"{r['check']}({r['instance']})", r["status"],
-                {w["name"]: w["value"] for w in r["witnesses"] if w["name"] in want})
-               for r, (_, _, want) in zip(reports, row.checks)]
+        assert len(run.reports) == len(row.checks)
+        got = [(statement, report["status"],
+                {k: v for k, v in witnesses(report).items() if k in want})
+               for (statement, report), (_, _, want) in zip(run.reports.items(), row.checks)]
         assert got == list(row.checks)
     else:
-        assert tuple(child.stdout.split()) == row.stdout, child.stdout
-    assert child.peak_rss <= row.c * N * N + B, (child.peak_rss >> 20, "MiB")
+        assert tuple(run.child.stdout.split()) == row.stdout, run.child.stdout
 
 
 def test_the_sweep_runs_every_registered_check():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from finring.errors import EmptySet, MissingIdentity, NotMultiplicativelyClosed
+from finring.reports import PASS
 from finring.rings import direct_product, galois_field, trunc_poly, zmod
 from finring.subobjects import (
     all_ideals,
@@ -25,6 +26,7 @@ from finring.subobjects import (
 )
 
 from oracles import localization_by_pairs
+from test_guard import guard_run, reads
 
 RINGS = (
     [zmod(n) for n in range(1, 41)]
@@ -101,3 +103,18 @@ def test_localization_matches_the_fraction_pair_route(ring):
 def test_localization_refusals_are_typed(ring, s, error, message):
     with pytest.raises(error, match=message):
         localization(ring, np.array(s, dtype=np.int64))
+
+
+# Order-4096 products localized at sets of 2048 to 4095 elements, as
+# checked by the guard sweep's row cpi_products under a 1 GiB limit
+GUARD_CPI = {
+    "prime_gf4_x_z1024": 'cpi_prime(P, gen(P; "(0,1)"))',
+    "ideal_gf4_x_z1024": 'cpi_ideal(P, gen(P; "(0,1)"))',
+    "ideal_z2_x_z2048": 'cpi_ideal(Q, gen(Q; "(0,1)"))',
+}
+
+
+@reads("cpi_products")
+@pytest.mark.parametrize("check", list(GUARD_CPI))
+def test_guard_order_cpi_checks_run_in_one_gib(request, check):
+    assert guard_run(request, "cpi_products").reports[GUARD_CPI[check]]["status"] == PASS

@@ -19,6 +19,7 @@ from finring.dsl_cli import evaluate, generate_catalog, parse
 from finring.morphisms import RingHom
 from finring.reports import PASS
 from finring.rings import FiniteRng
+from test_guard import guard_run, reads
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -110,3 +111,14 @@ def test_a_value_is_dropped_after_its_last_check(monkeypatch):
         ["dup(zmod(6), gen(zmod(6); 2))", "gen(zmod(6); 2)", "zmod(6)"],
     ]
     assert evaluators[0].cache == {}
+
+
+@reads("dup_zmod2048")
+def test_alt_pullbacks_at_guard_order_run_in_448_mib(request):
+    # The heaviest per-instance check at order 4096. Its least passing
+    # address-space limit, in 32 MiB steps on a 2-CPU x86-64 host (Python
+    # 3.11, numpy 2.4), is 512 MiB with int32 tables and 320 MiB with int16
+    # ones and int32 codes over A x B/J. The guard sweep's row dup_zmod2048
+    # runs it first, then nine more checks, under 448 MiB.
+    report = guard_run(request, "dup_zmod2048").reports["alt_pullbacks(dup(A, J))"]
+    assert report["status"] == PASS

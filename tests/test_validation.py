@@ -31,6 +31,7 @@ from finring.subobjects import (
 )
 
 from oracles import hom_violations, module_violations, rng_violations
+from test_guard import guard_run, reads
 
 Z2 = zmod(2)
 RINGS = [zmod(n) for n in range(1, 17)] + [galois_field(q) for q in (4, 8, 9, 16)] + [
@@ -201,13 +202,27 @@ def test_additive_generators_are_greedy_and_logarithmic():
 
 # -- orders the size guard admits -------------------------------------------------
 
-# Order-4096 builds, under a capped address space, run in tests/test_guard.py.
-
 def test_order_1024_builds_and_validates():
     assert validate_rng(zmod(1024)).ok
     r = zmod(512)
     am = duplication(r, ideal_from_generators(r, [256]))
     assert am.ring.order == 1024
+
+
+# The guard sweep's row build_products builds (Z/2)^12, Z/64 x Z/64 and
+# Z/4096 in this order under a 1 GiB limit, and prints for each its order,
+# whether it took under 20 s and whether it validates.
+
+@reads("build_products")
+def test_order_4096_builds_under_a_2_gib_address_space(request):
+    lines = guard_run(request, "build_products").child.stdout.splitlines()
+    assert lines[2].split() == ["4096", "True", "True"]
+
+
+@reads("build_products")
+def test_order_4096_product_builds_under_a_2_gib_address_space(request):
+    lines = guard_run(request, "build_products").child.stdout.splitlines()
+    assert lines[1].split() == ["4096", "True", "True"]
 
 
 def test_orders_above_the_guard_are_refused():
