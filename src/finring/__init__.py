@@ -18,6 +18,7 @@ from .amalgamation import (
     dorroh,
     dorroh_check,
     dotted_sum,
+    dotted_transport,
     duplication,
     n_amalgam,
     pullback,
@@ -88,6 +89,7 @@ __all__ = [
     "dorroh",
     "dorroh_check",
     "dotted_sum",
+    "dotted_transport",
     "duplication",
     "enumerate_homs",
     "evaluate",

@@ -222,10 +222,10 @@ class Amalgam:
 
     embed sends a to (a, f(a)); proj_base and proj_target are the coordinate
     projections; `fiber` is `n_amalgam`'s, which places a pair in the ring.
-    The other presentations are built on first access and then kept:
-    `dotted`, the abstract presentation A dotted-plus J, with `dotted_iso`,
-    its transport onto the pair representation; `residue_pullback`, the
-    pullback over B/J; and `target_image`, which makes f(A)+J a ring.
+    The presentations that two checks read each are built on first access
+    and then kept: `residue_pullback`, the pullback over B/J, and
+    `target_image`, which makes f(A)+J a ring. `dotted_transport` builds the
+    dotted presentation, which one check reads, on each call.
     """
 
     ring: FiniteRng
@@ -244,26 +244,6 @@ class Amalgam:
         return f"{self.base.name} via {self.hom.name} along J size {self.ideal.size}"
 
     @cached_property
-    def dotted(self) -> DottedSum:
-        """A dotted-plus J, with A acting on J through f: a.j = f(a)j."""
-        B, J = self.target, self.ideal
-        jrng, _ = ideal_as_rng(J)
-        action = np.searchsorted(J.indices, _sub(B.mul, self.hom.map, J.indices))
-        return dotted_sum(self.base, jrng, action)
-
-    @cached_property
-    def dotted_iso(self) -> RingHom:
-        """(a, j) -> (a, f(a)+j), from the dotted presentation onto the pairs.
-
-        Not validated here: the `dotted_presentation` check verifies it.
-        """
-        A, J = self.base, self.ideal
-        pairs = np.stack([np.repeat(np.arange(A.order), J.size),
-                          _sub(self.target.add, self.hom.map, J.indices).ravel()], axis=1)
-        return RingHom(self.dotted.ring, self.ring, self.fiber.position(pairs),
-                       unital=True, name="dotted_to_pairs", check=False)
-
-    @cached_property
     def residue_pullback(self) -> PullbackData:
         """The pullback of A -> B/J (a -> f(a)+J) against B -> B/J."""
         return pullback(*residue_presentation(self))
@@ -274,6 +254,23 @@ class Amalgam:
         "image_plus_ideal" unless f(A)+J is all of B, and the inclusion of
         f(A)+J into B."""
         return corestrict(self.proj_target, name="image_plus_ideal")
+
+
+def dotted_transport(am: Amalgam) -> tuple[DottedSum, RingHom]:
+    """A dotted-plus J, with A acting on J through f: a.j = f(a)j, and
+    (a, j) -> (a, f(a)+j), its transport onto the amalgam's pairs.
+
+    Not validated here: the `dotted_presentation` check verifies the
+    transport.
+    """
+    A, B, J = am.base, am.target, am.ideal
+    jrng, _ = ideal_as_rng(J)
+    action = np.searchsorted(J.indices, _sub(B.mul, am.hom.map, J.indices))
+    dotted = dotted_sum(A, jrng, action)
+    pairs = np.stack([np.repeat(np.arange(A.order), J.size),
+                      _sub(B.add, am.hom.map, J.indices).ravel()], axis=1)
+    return dotted, RingHom(dotted.ring, am.ring, am.fiber.position(pairs),
+                           unital=True, name="dotted_to_pairs", check=False)
 
 
 def amalgam_pair_encoding(f: RingHom, J: Ideal) -> np.ndarray:
@@ -483,40 +480,25 @@ class PullbackData:
     proj_right: RingHom
 
 
-def _join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The (m, 2) array of pairs (a, b) with left[a] == right[b], in
-    lexicographic order: a sort-merge join on one stable argsort of right,
-    so each run of equal keys lists its b in increasing order."""
-    order = np.argsort(right, kind="stable")
-    lo, hi = np.searchsorted(right[order], [left, left + 1])  # keys are integers
-    counts = hi - lo
-    a = np.repeat(np.arange(left.size, dtype=np.int64), counts)
-    # pair t of row a lies (t - first pair of a) past lo[a] in the run
-    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return np.stack([a, order[np.arange(a.size) + shift]], axis=1)
-
-
 def pullback(alpha: RingHom, beta: RingHom, name: str | None = None) -> PullbackData:
     """The pairs are exactly the solutions of alpha(a) = beta(b), so the
     square commutes by construction. The solutions of an equation between
     homs form a closed subset of the product, so `pair_subring` builds the
     ring without validating it again, and the projections are the
-    coordinate projections of the product restricted to it: unital homs,
-    not validated either. The pairs come from `_join`, apart from the
-    kernel's listing, so `pull_identity` compares two computations."""
+    coordinate maps of its own rows, the product's projections restricted
+    to it: unital homs, not validated either."""
     if alpha.codomain != beta.codomain:
         raise AmbientMismatch("pullback requires a common codomain")
     if not (alpha.unital and beta.unital):
         raise InvalidParameter("pullback requires unital homs")
-    ring = pair_subring(alpha.domain, [beta.domain], alpha.map, beta.map, 1, "pullback",
-                        name or f"pullback({alpha.name},{beta.name})").ring
-    arr = _join(alpha.map, beta.map)
-    proj_left = RingHom(ring, alpha.domain, arr[:, 0], unital=True, name="proj_left",
+    ring, pairs, _ = pair_subring(alpha.domain, [beta.domain], alpha.map, beta.map, 1,
+                                  "pullback", name or f"pullback({alpha.name},{beta.name})")
+    proj_left = RingHom(ring, alpha.domain, pairs[:, 0], unital=True, name="proj_left",
                         check=False)
-    proj_right = RingHom(ring, beta.domain, arr[:, 1], unital=True, name="proj_right",
+    proj_right = RingHom(ring, beta.domain, pairs[:, 1], unital=True, name="proj_right",
                          check=False)
     return PullbackData(ring, alpha.domain, beta.domain, alpha.codomain,
-                        alpha, beta, arr, proj_left, proj_right)
+                        alpha, beta, pairs, proj_left, proj_right)
 
 
 def residue_presentation(am: Amalgam) -> tuple[RingHom, RingHom]:
@@ -567,13 +549,12 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
     def collapses(left: FiniteRng, u: np.ndarray, v: np.ndarray,
                   to_left: np.ndarray, name: str) -> bool:
         # u on `left` and v on all of A x B, at the flat code a*|B| + b, as
-        # codes over left x B/J, so no product ring is built; the kernel's
-        # listing must be the join's, and (l, a, b) goes to the amalgam's (a, b)
-        pairs = _join(u, v)  # its sort is dropped before the tables are filled
+        # codes over left x B/J, so no product ring is built; (l, a, b) goes
+        # to the amalgam's (a, b)
         fp = pair_subring(left, [A, B], u, v, 1, "pullback", name)
-        a, b = np.divmod(pairs[:, 1], B.order)
+        a, b = np.divmod(fp.coords[:, 1], B.order)
         pos = am.fiber.position(np.stack([a, b], axis=1))
-        if not (np.array_equal(fp.coords, pairs) and np.array_equal(pairs[:, 0], to_left[a])
+        if not (np.array_equal(fp.coords[:, 0], to_left[a])
                 and (pos >= 0).all() and fp.ring.order == am.ring.order):
             return False
         return verify_iso(RingHom(fp.ring, am.ring, pos, unital=True,
@@ -599,6 +580,22 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
         rep.status = FAIL
         rep.counterexample = "an alternate presentation failed to collapse"
     return rep
+
+
+def _find_presentation(homs, ideals: list[Ideal],
+                       enc_pb: np.ndarray) -> tuple[tuple[RingHom, Ideal] | None, int]:
+    """The first (g, J), homs outer and ideals inner, whose amalgam has the
+    element set `enc_pb` (pullback pair encodings), else None, and the
+    number of (g, J) tried."""
+    tried = 0
+    for g in homs:
+        for J in ideals:
+            tried += 1
+            if g.domain.order * J.size != enc_pb.size:
+                continue
+            if np.array_equal(amalgam_pair_encoding(g, J), enc_pb):
+                return (g, J), tried
+    return None, tried
 
 
 def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
@@ -629,22 +626,14 @@ def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
             rep.status = FAIL
             rep.counterexample = "factorization holds but sets differ"
     else:
-        tried = 0
-        match = None
-        for J in all_ideals(f.codomain):
-            tried += 1
-            if f.domain.order * J.size != enc_pb.size:
-                continue
-            if np.array_equal(amalgam_pair_encoding(f, J), enc_pb):
-                match = J
-                break
+        match, tried = _find_presentation([f], all_ideals(f.codomain), enc_pb)
         rep.add("ideals_exhausted", tried)
         rep.add("no_ideal_matches", match is None)
         if match is not None:
             rep.status = FAIL
             rep.counterexample = (
                 f"no factorization, yet the pullback equals the amalgam along an "
-                f"ideal of size {match.size}"
+                f"ideal of size {match[1].size}"
             )
     return rep
 
@@ -699,19 +688,7 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
         rep.status = HYPOTHESIS_NOT_MET
         rep.add("note", f"enumerating homs {homs.reason}; no certificate either way")
         return rep
-    ideals = all_ideals(pb.right)
-    presentations = 0
-    match = None
-    for g in homs:
-        for J in ideals:
-            presentations += 1
-            if pb.left.order * J.size != enc_pb.size:
-                continue
-            if np.array_equal(amalgam_pair_encoding(g, J), enc_pb):
-                match = (g, J)
-                break
-        if match:
-            break
+    match, presentations = _find_presentation(homs, all_ideals(pb.right), enc_pb)
     rep.add("presentations_exhausted", presentations)
     rep.add("homs_available", len(homs))
     rep.add("no_presentation_exists", match is None)
@@ -750,11 +727,10 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
     J_new = kernel(pb.beta)
     ideal_match = J_new == am.ideal
     rep.add("recovered_ideal_equals_J", ideal_match)
-    # the pairs of `_join` and of a fiber product's coords are int64
+    # a fiber product's coords, the pairs, are int64
     enc_pb = pb.pairs[:, 0] * am.target.order + pb.pairs[:, 1]
-    enc_am = am.pairs[:, 0] * am.target.order + am.pairs[:, 1]
     set_ok = np.array_equal(amalgam_pair_encoding(f_new, J_new), enc_pb) \
-        and np.array_equal(enc_pb, enc_am)
+        and np.array_equal(pb.pairs, am.pairs)
     rep.add("reconstruction_set_equal", set_ok)
     if not (ideal_match and set_ok):
         rep.status = FAIL

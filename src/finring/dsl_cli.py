@@ -37,6 +37,7 @@ from .amalgamation import (
     canonical_isos,
     domain_criterion_check,
     dorroh_check,
+    dotted_transport,
     duplication,
     factor_check,
     iter_iso_check,
@@ -525,10 +526,11 @@ def _run_dotted_presentation(am, instance: str) -> VerificationReport:
     and the explicit coordinate map onto the pair form is a bijective
     hom."""
     rep = VerificationReport("dotted_presentation", instance, PASS)
-    split = split_sequence_check(am.dotted)
+    dotted, transport = dotted_transport(am)
+    split = split_sequence_check(dotted)
     for w in split.witnesses:
         rep.add(w.name, w.value)
-    iso_ok = verify_iso(am.dotted_iso)
+    iso_ok = verify_iso(transport)
     rep.add("transport_iso_valid", iso_ok)
     if split.status != PASS or not iso_ok:
         rep.status = FAIL

@@ -705,7 +705,7 @@ def direct_product(factors: Sequence[FiniteRng], name: str | None = None) -> Fin
     dims = [f.order for f in factors]
     order = math.prod(dims)
     if order > config.size_guard():
-        raise SizeGuardExceeded(f"product order exceeds size guard {config.size_guard()}")
+        raise SizeGuardExceeded(f"order {order} exceeds size guard {config.size_guard()}")
     if name is None:
         name = "product(" + ",".join(f.name for f in factors) + ")"
     _, gens = _embedded_gens(dims, [f.zero for f in factors], [f.additive_gens for f in factors])

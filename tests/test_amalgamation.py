@@ -40,7 +40,7 @@ from finring.errors import (
     InvalidParameter,
     MalformedTable,
 )
-from finring.morphisms import RingHom, enumerate_homs, identity_hom, verify_iso
+from finring.morphisms import RingHom, enumerate_homs, identity_hom, validate_hom, verify_iso
 from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS
 from finring.rings import FiniteRng, direct_product, is_reduced, trunc_poly, zmod
 from finring.subobjects import (
@@ -177,13 +177,30 @@ def test_pull_identity_matches_naive_pullback():
     assert _pairs_set(am) == want
 
 
-def test_pullback_construction_matches_naive():
-    r4, r2 = zmod(4), zmod(2)
-    alpha = enumerate_homs(r4, r2)[0]
-    beta = identity_hom(r2)
-    pb = pullback(alpha, beta)
-    want = pullback_pairs(alpha.map.tolist(), beta.map.tolist())
-    assert frozenset(map(tuple, pb.pairs.tolist())) == want
+@pytest.mark.parametrize("left, right, over", [
+    ("zmod(4)", "zmod(2)", "zmod(2)"),
+    ("zmod(6)", "zmod(4)", "zmod(2)"),
+    ("zmod(6)", "zmod(3)", "zmod(3)"),
+    ("P22", "zmod(4)", "zmod(2)"),
+    # the diagonal zmod(2) -> P22 misses (0,1) and (1,0), so the elements of
+    # the other side over those two lie in no pair
+    ("zmod(2)", "P22", "P22"),
+    ("P22", "zmod(2)", "P22"),
+])
+def test_pullback_construction_matches_naive(left, right, over):
+    """For every pair of unital homs into `over`, the pairs are the naive
+    solutions in lexicographic order, and both projections are homs."""
+    rings = {"P22": direct_product([zmod(2), zmod(2)]),
+             **{f"zmod({n})": zmod(n) for n in range(2, 7)}}
+    alphas = enumerate_homs(rings[left], rings[over])
+    betas = enumerate_homs(rings[right], rings[over])
+    assert len(alphas) and len(betas)
+    for alpha in alphas:
+        for beta in betas:
+            pb = pullback(alpha, beta)
+            want = sorted(pullback_pairs(alpha.map.tolist(), beta.map.tolist()))
+            assert list(map(tuple, pb.pairs.tolist())) == want
+            assert validate_hom(pb.proj_left).ok and validate_hom(pb.proj_right).ok
 
 
 def test_kernel_identity_check_passes():

@@ -207,8 +207,8 @@ ROWS = [
         argv=("galois_field(4096)",)),
     # Ten amalgam checks on one order-4096 duplication. alt_pullbacks goes
     # first: alone it needs a 320 MiB address space, after the caches that
-    # the other checks leave on the amalgam 448 MiB, the limit itself. In
-    # this order the row's least passing limit is 384 MiB (32 MiB steps).
+    # the other checks leave on the amalgam 384 MiB. In this order the row's
+    # least passing limit is 320 MiB (32 MiB steps), under its 448 MiB.
     Row("dup_zmod2048", c=24, limit=448 << 20,
         defs="ring A = zmod(2048);\nideal J = gen(A; 1024);\n",
         checks=(("alt_pullbacks(dup(A, J))", PASS,
@@ -251,7 +251,7 @@ ROWS = [
         refused("cardinality(dup(gf(4099), gen(zmod(2); 1)))",
                 "order 4099 exceeds size guard 4096"),
         refused("cardinality(dup(product(zmod(64), zmod(65)), gen(zmod(2); 1)))",
-                "product order exceeds size guard 4096"),
+                "order 4160 exceeds size guard 4096"),
         refused("cardinality(dup(trunc_poly(zmod(65), 1, 1), gen(zmod(2); 1)))",
                 "trunc_poly order 65^2 exceeds size guard 4096"),
         refused("cardinality(dup(zmod(2050), gen(zmod(2050); 1025)))",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from finring.amalgamation import (
     amalgam,
+    dotted_transport,
     duplication,
     pull_identity_check,
     reduced_criterion_check,
@@ -180,4 +181,4 @@ def test_amalgam_kernels_of_projections(n):
             k_right = {pairs[i] for i in kernel(am.proj_target).indices}
             assert k_right == {(a, 0) for a in range(f.domain.order)
                                if ideal.members[f.map[a]]}
-            assert verify_iso(am.dotted_iso)
+            assert verify_iso(dotted_transport(am)[1])

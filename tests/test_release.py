@@ -2,7 +2,9 @@
 drops a key after the last check that touches it, builds every key once,
 and leaves no ring in a reference cycle, so the rings a run is done with
 are freed by reference counting while it goes on. The run at guard order
-that shows it under an address-space limit is a row of tests/test_guard.py."""
+that shows it under an address-space limit is a row of tests/test_guard.py.
+The benchmark's tracer, which counts those builds, names only functions
+that exist."""
 
 from __future__ import annotations
 
@@ -24,21 +26,32 @@ from test_guard import guard_run, reads
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _workloads():
+def _perfbench(module: str):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+        f"perfbench_{module}", REPO / "perfbench" / f"{module}.py")
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
 
 
 def _script(workload: str, seed: int) -> str:
     """The benchmark's script: the seed-0 budget-256 catalog in the seed's
     check order, or the seed's `scale` draw after the budget-16 catalog."""
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     if workload == "scale":
         return workloads.render_scale(seed, generate_catalog(0, 16))
     return workloads.shuffle_checks(generate_catalog(0, 256), seed)
+
+
+def test_every_traced_name_exists():
+    """`perfbench/tracer.py` wraps each name of its `GROUPS` and counts two
+    `Evaluator` methods; a change that deletes or renames one fails here,
+    and not only in a traced benchmark run."""
+    groups = _perfbench("tracer").GROUPS.values()
+    missing = [f"finring.{mod}.{name}" for mod, names in groups for name in names
+               if not callable(getattr(importlib.import_module(f"finring.{mod}"), name, None))]
+    assert missing == []
+    assert callable(dsl_cli.Evaluator.value) and callable(dsl_cli.Evaluator._build)
 
 
 @pytest.mark.parametrize("workload", ["catalog", "scale"])
