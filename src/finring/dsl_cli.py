@@ -26,7 +26,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,10 +112,10 @@ _PLAIN = frozenset(("ARROW", "LPAREN", "RPAREN", "COMMA", "SEMI", "EQUALS",
                     "NUMBER"))
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Iterator[Token]:
     """Script text to tokens ending with EOF, each at its 1-based line and
-    column. Raises ScriptSyntaxError at the first character no token takes."""
-    tokens: list[Token] = []
+    column, yielded as they are scanned. Raises ScriptSyntaxError when the
+    scan reaches a character no token takes."""
     line, line_start = 1, 0
     kind = start = None
     for mo in _TOKEN_RE.finditer(text):
@@ -123,13 +123,13 @@ def tokenize(text: str) -> list[Token]:
         col = start - line_start + 1
         if kind in _PLAIN or kind == "NAME" and (value[0].isalpha()
                                                  or value[0] == "_"):
-            tokens.append(Token(kind, value, line, col))
+            yield Token(kind, value, line, col)
         elif kind == "SKIP" or kind == "COMMENT":
             pass
         elif kind == "NEWLINE":
             line, line_start = line + 1, start + 1
         elif kind == "STRING":
-            tokens.append(Token(kind, value[1:-1], line, col))
+            yield Token(kind, value[1:-1], line, col)
         elif value == '"':
             raise ScriptSyntaxError("unterminated string", line, col, ('"',))
         else:
@@ -137,8 +137,7 @@ def tokenize(text: str) -> list[Token]:
                                     line, col)
     # a trailing comment leaves the end-of-input column at its '#'
     end = start if kind == "COMMENT" else len(text)
-    tokens.append(Token("EOF", "", line, end - line_start + 1))
-    return tokens
+    yield Token("EOF", "", line, end - line_start + 1)
 
 
 # -- AST ------------------------------------------------------------------------------
@@ -283,17 +282,21 @@ def _a(kind: str) -> str:  # "an ideal", "an amalgam", "a ring"
 
 
 class _Parser:
+    """Recursive descent with one token of lookahead, scanned when first
+    peeked at, so of two errors the one earlier in the source is raised."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
-        self.pos = 0
+        self.tok: Token | None = None
         self.env: dict[str, str] = {}
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        if self.tok is None:
+            self.tok = next(self.tokens)
+        return self.tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok, self.tok = self.peek(), None
         return tok
 
     def expect(self, type_: str, what: str) -> Token:
@@ -589,25 +592,26 @@ REGISTRY: dict[str, CheckSpec] = {
 }
 
 
-def _keys(expr: Expr, defs: dict[str, Expr], walked: dict[str, set[str]]) -> set[str]:
-    """The Evaluator keys that building `expr` may touch, as `_build` walks
-    it; `walked` holds them by key, so each key is walked once."""
-    key = expr.render()
-    if key not in walked:
-        sub = [defs[key]] if expr.form == "ref" else [a for a in expr.args if isinstance(a, Expr)]
-        walked[key] = {key}.union(*(_keys(a, defs, walked) for a in sub))
-    return walked[key]
-
-
-def _last_uses(checks: tuple[CheckStmt, ...], defs: dict[str, Expr]) -> list[list[str]]:
-    """For each check, the keys that no later check touches."""
+def _last_uses(checks: tuple[CheckStmt, ...], defs: dict[str, Expr]
+               ) -> tuple[list[list[str]], list[list[str]]]:
+    """For each check, the keys of its arguments, and the keys that no
+    later check touches."""
     walked: dict[str, set[str]] = {}
+
+    def keys(expr: Expr, key: str) -> set[str]:
+        # the keys that building `expr` may touch, as `_build` walks it
+        if key not in walked:
+            sub = [defs[key]] if expr.form == "ref" else [a for a in expr.args if isinstance(a, Expr)]
+            walked[key] = {key}.union(*(keys(a, a.render()) for a in sub))
+        return walked[key]
+
+    args = [[a.render() for a in chk.args] for chk in checks]
     last = {key: i for i, chk in enumerate(checks)
-            for arg in chk.args for key in _keys(arg, defs, walked)}
+            for arg, k in zip(chk.args, args[i]) for key in keys(arg, k)}
     done: list[list[str]] = [[] for _ in checks]
     for key, i in last.items():
         done[i].append(key)
-    return done
+    return args, done
 
 
 def evaluate(script: Script) -> list[VerificationReport]:
@@ -616,9 +620,8 @@ def evaluate(script: Script) -> list[VerificationReport]:
     with the check's source location and raised."""
     ev = Evaluator(script.definitions)
     reports: list[VerificationReport] = []
-    for chk, done in zip(script.checks, _last_uses(script.checks, ev.defs)):
+    for chk, keys, done in zip(script.checks, *_last_uses(script.checks, ev.defs)):
         spec = REGISTRY[chk.name]
-        keys = [a.render() for a in chk.args]
         instance = ", ".join(keys)
         start = time.perf_counter()
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,13 @@ HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 THEOREM_BACKED = "theorem_backed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Witness:
     name: str
     value: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "value": self.value}
 
-
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     check: str
     instance: str
@@ -75,31 +73,29 @@ class VerificationReport:
     def failed(self) -> bool:
         return self.status == FAIL
 
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "status": self.status,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "counterexample": self.counterexample,
-            "millis": round(self.millis, 3),
-        }
-
     def line(self) -> str:
         return f"{self.status.upper():18s} {self.check}({self.instance})"
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
     """The text of `json.dumps({"version": "1", "reports": [...]},
-    indent=2)`, encoded one report at a time, so that only one report's
-    dict is alive at once. A report nests two levels deep, so its lines
-    after the first take four more spaces; a JSON string escapes every
-    newline, so each newline of its text is one of those lines' ends."""
-    items = ",\n    ".join(
-        json.dumps(r.to_json(), indent=2, ensure_ascii=True).replace("\n", "\n    ")
-        for r in reports)
-    body = f"[\n    {items}\n  ]" if reports else "[]"
-    return f'{{\n  "version": "1",\n  "reports": {body}\n}}\n'
+    indent=2, ensure_ascii=True) + "\n"`, written in one pass with json's
+    own string escaping and its number form for the rounded millis."""
+    out = []
+    for r in reports:
+        wits = ",".join(
+            f'\n        {{\n          "name": {_str(w.name)},\n'
+            f'          "value": {_str(w.value)}\n        }}'
+            for w in r.witnesses) + "\n      " if r.witnesses else ""
+        cex = "null" if r.counterexample is None else _str(r.counterexample)
+        out.append(f'\n    {{\n      "check": {_str(r.check)},\n'
+                   f'      "instance": {_str(r.instance)},\n'
+                   f'      "status": {_str(r.status)},\n'
+                   f'      "witnesses": [{wits}],\n'
+                   f'      "counterexample": {cex},\n'
+                   f'      "millis": {round(r.millis, 3)!r}\n    }}')
+    body = ",".join(out) + "\n  " if out else ""
+    return f'{{\n  "version": "1",\n  "reports": [{body}]\n}}\n'
 
 
 def strip_timing(json_text: str) -> str:

@@ -31,14 +31,21 @@ from finring.errors import (
     UnknownName,
 )
 from finring.morphisms import enumerate_homs
-from finring.reports import FAIL, HYPOTHESIS_NOT_MET, PASS, strip_timing
+from finring.reports import (
+    FAIL,
+    HYPOTHESIS_NOT_MET,
+    PASS,
+    VerificationReport,
+    Witness,
+    strip_timing,
+)
 from finring.rings import characteristic, zmod
 
 from test_guard import CHILD_ENV, run_child
 
 
 def test_tokenizer_tracks_positions_and_comments():
-    toks = tokenize('ring A = zmod(4); # trailing words\n"x y"')
+    toks = list(tokenize('ring A = zmod(4); # trailing words\n"x y"'))
     kinds = [t.type for t in toks]
     assert kinds == ["NAME", "NAME", "EQUALS", "NAME", "LPAREN", "NUMBER",
                      "RPAREN", "SEMI", "STRING", "EOF"]
@@ -141,6 +148,18 @@ def test_unknown_names_and_type_errors():
 def test_definitions_must_precede_use():
     with pytest.raises(UnknownName):
         parse("check cardinality(dup(A, J));\nring A = zmod(4);")
+
+
+def test_the_first_error_in_the_source_is_reported():
+    # the scanner reaches line 5 only after the parser has read line 1
+    with pytest.raises(UnknownName) as err:
+        parse("ring A = Missing;\n\n\n\nring B = zmod(2) @;")
+    assert str(err.value) == "line 1: unknown name 'Missing'"
+    valid = "".join(f"ring A{i} = zmod({i + 2});\n" for i in range(50))
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse(valid + "check cardinality(dup(A0, gen(A0; 1))) @;")
+    assert (err.value.line, err.value.col) == (51, 40)
+    assert "unexpected character '@'" in str(err.value)
 
 
 def test_evaluator_caches_by_rendered_form():
@@ -400,6 +419,37 @@ def test_strip_timing_normalizes_reports():
     r1 = strip_timing(reports_to_json(evaluate(script)))
     r2 = strip_timing(reports_to_json(evaluate(script)))
     assert r1 == r2
+
+
+def _json_dumps_form(reports) -> str:
+    doc = {"version": "1", "reports": [
+        {"check": r.check, "instance": r.instance, "status": r.status,
+         "witnesses": [{"name": w.name, "value": w.value} for w in r.witnesses],
+         "counterexample": r.counterexample, "millis": round(r.millis, 3)}
+        for r in reports]}
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+_AWKWARD = 'q"b\\s\nt\t\u00e9\u00b2\x00'
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [],
+    lambda: [VerificationReport("cardinality", "zmod(4)", PASS)],
+    lambda: [VerificationReport("c", "i", FAIL, [Witness("n", "v")], "cex"),
+             VerificationReport("c", "i", PASS, [Witness("n", "v")] * 3, None)],
+    lambda: [VerificationReport(_AWKWARD, _AWKWARD, _AWKWARD,
+                                [Witness(_AWKWARD, _AWKWARD)], _AWKWARD)],
+    lambda: [VerificationReport("c", "i", PASS, millis=m)
+             for m in (0.0, 1e-05, 0.001, 12345.678, 1e16)],
+    lambda: evaluate(parse(generate_catalog(0, 16))),
+], ids=["empty", "no-witnesses", "counterexample", "escapes", "millis",
+        "catalog-16"])
+def test_report_writer_bytes_equal_json_dumps(make):
+    from finring.reports import reports_to_json
+
+    reports = make()
+    assert reports_to_json(reports) == _json_dumps_form(reports)
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():

@@ -52,7 +52,7 @@ def test_catalog_scripts(seed, budget):
 
 def test_scale_script():
     text = _scale_script()
-    assert len(tokenize(text)) > 10_000
+    assert len(list(tokenize(text))) > 10_000
     assert_agrees(text)
 
 
