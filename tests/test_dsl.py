@@ -37,6 +37,7 @@ from finring.reports import (
     PASS,
     VerificationReport,
     Witness,
+    reports_to_json,
     strip_timing,
 )
 from finring.rings import characteristic, zmod
@@ -446,8 +447,6 @@ _AWKWARD = 'q"b\\s\nt\t\u00e9\u00b2\x00'
 ], ids=["empty", "no-witnesses", "counterexample", "escapes", "millis",
         "catalog-16"])
 def test_report_writer_bytes_equal_json_dumps(make):
-    from finring.reports import reports_to_json
-
     reports = make()
     assert reports_to_json(reports) == _json_dumps_form(reports)
 
