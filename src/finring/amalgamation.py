@@ -36,7 +36,7 @@ from .morphisms import (
     kernel,
     verify_iso,
 )
-from .reports import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
+from .reports import HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .rings import (
     FiberProduct,
     FiniteRng,
@@ -130,9 +130,7 @@ def split_sequence_check(ds: DottedSum, instance: str | None = None) -> Verifica
     """The part embeds as an ideal, the base projection retracts the base
     embedding, and base plus part covers the whole ring: the defining split
     exact sequence, verified element by element."""
-    rep = VerificationReport(
-        "split_sequence", instance or ds.ring.name, PASS,
-    )
+    rep = VerificationReport("split_sequence", instance or ds.ring.name)
     n = ds.ring.order
     retract_ok = np.array_equal(
         ds.proj_base.map[ds.embed_base.map], np.arange(ds.base.order)
@@ -149,10 +147,8 @@ def split_sequence_check(ds: DottedSum, instance: str | None = None) -> Verifica
     rep.add("base_plus_part_covers_ring", cover_ok)
     inj_ok = ds.embed_base.is_injective and ds.embed_part.is_injective
     rep.add("embeddings_injective", inj_ok)
-    if not (retract_ok and kernel_ok and ideal_ok and cover_ok and inj_ok):
-        rep.status = FAIL
-        rep.counterexample = "split sequence property violated"
-    return rep
+    return rep.verdict(retract_ok and kernel_ok and ideal_ok and cover_ok and inj_ok,
+                       "split sequence property violated")
 
 
 def dorroh(part: FiniteRng, n: int | None = None) -> DottedSum:
@@ -185,9 +181,7 @@ def dorroh_check(part: FiniteRng, n: int | None = None,
     plus R."""
     ds = dorroh(part, n)
     base = ds.base
-    rep = VerificationReport(
-        "dorroh", instance or f"{part.name},n={base.order}", PASS,
-    )
+    rep = VerificationReport("dorroh", instance or f"{part.name},n={base.order}")
     split = split_sequence_check(ds)
     rep.add("split_sequence", split.status)
     rep.add("has_identity", ds.ring.has_one)
@@ -206,11 +200,8 @@ def dorroh_check(part: FiniteRng, n: int | None = None,
     covered = _sub(ds.ring.add, span, ds.embed_part.map)
     span_ok = _distinct(covered, ds.ring.order).size == ds.ring.order
     rep.add("multiples_of_one_plus_part_cover", span_ok)
-    if not (split.status == PASS and ds.ring.has_one and char_ok
-            and quotient_ok and span_ok):
-        rep.status = FAIL
-        rep.counterexample = "unitalization property violated"
-    return rep
+    return rep.verdict(split.status == PASS and ds.ring.has_one and char_ok
+                       and quotient_ok and span_ok, "unitalization property violated")
 
 
 # -- amalgams -----------------------------------------------------------------------
@@ -222,7 +213,7 @@ class Amalgam:
 
     embed sends a to (a, f(a)); proj_base and proj_target are the coordinate
     projections; `fiber` is `n_amalgam`'s, which places a pair in the ring.
-    The presentations that two checks read each are built on first access
+    The presentations that several checks read are built on first access
     and then kept: `residue_pullback`, the pullback over B/J, and
     `target_image`, which makes f(A)+J a ring. `dotted_transport` builds the
     dotted presentation, which one check reads, on each call.
@@ -354,10 +345,7 @@ def image_plus_ideal_check(f: RingHom, J: Ideal,
                            instance: str | None = None) -> VerificationReport:
     """Replacing f by its corestriction onto f(A)+J leaves the amalgam's
     element set unchanged."""
-    rep = VerificationReport(
-        "image_plus_ideal",
-        instance or f"{f.name},J size {J.size}", PASS,
-    )
+    rep = VerificationReport("image_plus_ideal", instance or f"{f.name},J size {J.size}")
     bd = image_plus_ideal(f, J)
     rep.add("subring_order", bd.size)
     rep.add("contains_image", bool(bd.members[image(f).indices].all()))
@@ -372,10 +360,7 @@ def image_plus_ideal_check(f: RingHom, J: Ideal,
     enc_lifted = a_part * f.codomain.order + embed_small.map[b_part]
     same = np.array_equal(np.sort(enc_lifted), amalgam_pair_encoding(f, J))
     rep.add("same_amalgam_through_corestriction", same)
-    if not same:
-        rep.status = FAIL
-        rep.counterexample = "corestricted amalgam has a different element set"
-    return rep
+    return rep.verdict(same, "corestricted amalgam has a different element set")
 
 
 def same_amalgam(f: RingHom, g: RingHom, J: Ideal,
@@ -391,9 +376,8 @@ def same_amalgam(f: RingHom, g: RingHom, J: Ideal,
     B = f.codomain
     if J.ring != B:
         raise AmbientMismatch("ideal does not live in the homs' codomain")
-    rep = VerificationReport(
-        "same_amalgam", instance or f"{f.name} vs {g.name}, J size {J.size}", PASS,
-    )
+    rep = VerificationReport("same_amalgam",
+                             instance or f"{f.name} vs {g.name}, J size {J.size}")
     pointwise = bool(J.members[B.sub(f.map, g.map)].all())
     sets_equal = np.array_equal(
         amalgam_pair_encoding(f, J), amalgam_pair_encoding(g, J)
@@ -402,12 +386,9 @@ def same_amalgam(f: RingHom, g: RingHom, J: Ideal,
     rep.add("element_sets_equal", sets_equal)
     rep.add("homs_equal", bool(np.array_equal(f.map, g.map)))
     if pointwise != sets_equal:
-        rep.status = FAIL
         bad = np.flatnonzero(~J.members[B.sub(f.map, g.map)])
-        rep.counterexample = (
-            f"equivalence broken at a={f.domain.labels[bad[0]]}" if bad.size
-            else "sets differ yet differences lie in the ideal"
-        )
+        rep.verdict(False, f"equivalence broken at a={f.domain.labels[bad[0]]}" if bad.size
+                    else "sets differ yet differences lie in the ideal")
     return rep
 
 
@@ -426,10 +407,7 @@ def iter_iso_check(f: RingHom, J: Ideal, n: int,
     bijective hom."""
     if n < 2:
         raise HypothesisViolated("iterated isomorphism needs n >= 2")
-    rep = VerificationReport(
-        "iterated_iso",
-        instance or f"{f.name},J size {J.size},n={n}", PASS,
-    )
+    rep = VerificationReport("iterated_iso", instance or f"{f.name},J size {J.size},n={n}")
     big = n_amalgam(f, J, n)
     small = n_amalgam(f, J, n - 1)
     A, B = f.domain, f.codomain
@@ -447,19 +425,14 @@ def iter_iso_check(f: RingHom, J: Ideal, n: int,
     d2 = small.position(np.delete(big.coords, -2, axis=1))
     pos = dup.fiber.position(np.stack([d1, d2], axis=1))  # -1 where d1 or d2 is
     if pos.min() < 0:
-        rep.status = FAIL
-        rep.counterexample = "witness map leaves the duplication's element set"
-        return rep
+        return rep.verdict(False, "witness map leaves the duplication's element set")
     witness = RingHom(big.ring, dup.ring, pos, unital=True,
                       name=f"shuffle_n{n}", check=False)
     valid = verify_iso(witness)
     rep.add("witness_is_bijective_hom", valid)
     rep.add("order_law_holds", big.ring.order == expected)
-    if not (valid and big.ring.order == expected
-            and dup.ring.order == expected):
-        rep.status = FAIL
-        rep.counterexample = "iterated presentation mismatch"
-    return rep
+    return rep.verdict(valid and big.ring.order == expected and dup.ring.order == expected,
+                       "iterated presentation mismatch")
 
 
 # -- pullbacks ----------------------------------------------------------------------
@@ -514,19 +487,15 @@ def pull_identity_check(am: Amalgam, instance: str | None = None) -> Verificatio
     of f along J has exactly the element set {(a,b) : f'(a) = pi(b)}
     and the same operation tables: it is that fiber product, not
     merely isomorphic to it."""
-    rep = VerificationReport(
-        "pull_identity", instance or am.description, PASS,
-    )
+    rep = VerificationReport("pull_identity", instance or am.description)
     pb = am.residue_pullback
     pairs_equal = np.array_equal(pb.pairs, am.pairs)
     rings_equal = pb.ring == am.ring
     rep.add("element_sets_equal", pairs_equal)
     rep.add("tables_equal", rings_equal)
     rep.add("order", am.ring.order)
-    if not (pairs_equal and rings_equal):
-        rep.status = FAIL
-        rep.counterexample = "pullback presentation differs from the amalgam"
-    return rep
+    return rep.verdict(pairs_equal and rings_equal,
+                       "pullback presentation differs from the amalgam")
 
 
 def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> VerificationReport:
@@ -536,9 +505,7 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
     against v: (a,b) -> (a, b+J) over A x B/J, and of the maps these
     induce over A/I x B/J with I the preimage of J. Both collapse
     maps are validated as bijective homs."""
-    rep = VerificationReport(
-        "alt_pullbacks", instance or am.description, PASS,
-    )
+    rep = VerificationReport("alt_pullbacks", instance or am.description)
     A, B = am.base, am.target
     f_res, pi = residue_presentation(am)
     BJ = pi.codomain
@@ -576,10 +543,7 @@ def alt_pullback_checks(am: Amalgam, instance: str | None = None) -> Verificatio
                     rho.map, "over A/I x B/J")
     rep.add("presentation_over_AI_x_BJ", ok2)
     rep.add("order", am.ring.order)
-    if not (ok1 and ok2):
-        rep.status = FAIL
-        rep.counterexample = "an alternate presentation failed to collapse"
-    return rep
+    return rep.verdict(ok1 and ok2, "an alternate presentation failed to collapse")
 
 
 def _find_presentation(homs, ideals: list[Ideal],
@@ -609,10 +573,8 @@ def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
     if f.domain != alpha.domain or f.codomain != beta.domain \
             or alpha.codomain != beta.codomain:
         raise AmbientMismatch("factor_check needs f: A->B under alpha: A->C, beta: B->C")
-    rep = VerificationReport(
-        "pullback_presentation",
-        instance or f"{alpha.name} vs {beta.name} through {f.name}", PASS,
-    )
+    rep = VerificationReport("pullback_presentation",
+                             instance or f"{alpha.name} vs {beta.name} through {f.name}")
     pb = pullback(alpha, beta)
     enc_pb = pb.pairs[:, 0] * beta.domain.order + pb.pairs[:, 1]  # pairs are int64
     factors = np.array_equal(beta.map[f.map], alpha.map)
@@ -622,19 +584,14 @@ def factor_check(alpha: RingHom, beta: RingHom, f: RingHom,
         rep.add("recovered_ideal_order", Jk.size)
         equal = np.array_equal(amalgam_pair_encoding(f, Jk), enc_pb)
         rep.add("pullback_equals_amalgam_along_kernel", equal)
-        if not equal:
-            rep.status = FAIL
-            rep.counterexample = "factorization holds but sets differ"
+        rep.verdict(equal, "factorization holds but sets differ")
     else:
         match, tried = _find_presentation([f], all_ideals(f.codomain), enc_pb)
         rep.add("ideals_exhausted", tried)
         rep.add("no_ideal_matches", match is None)
         if match is not None:
-            rep.status = FAIL
-            rep.counterexample = (
-                f"no factorization, yet the pullback equals the amalgam along an "
-                f"ideal of size {match[1].size}"
-            )
+            rep.verdict(False, "no factorization, yet the pullback equals the amalgam "
+                               f"along an ideal of size {match[1].size}")
     return rep
 
 
@@ -651,10 +608,7 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
     (hom, ideal) presentation."""
     # Both searches charge `budget`; when either cannot finish inside it
     # there is no certificate, and the verdict is hypothesis_not_met.
-    rep = VerificationReport(
-        "retraction_criterion",
-        instance or f"{alpha.name} vs {beta.name}", PASS,
-    )
+    rep = VerificationReport("retraction_criterion", instance or f"{alpha.name} vs {beta.name}")
     pb = pullback(alpha, beta)
     if not pb.proj_left.is_surjective:
         rep.status = HYPOTHESIS_NOT_MET
@@ -674,10 +628,7 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
         equal = np.array_equal(amalgam_pair_encoding(f_new, Jk), enc_pb)
         rep.add("reconstruction_factors", factors)
         rep.add("reconstruction_set_equal", equal)
-        if not (factors and equal):
-            rep.status = FAIL
-            rep.counterexample = "section found but reconstruction failed"
-        return rep
+        return rep.verdict(factors and equal, "section found but reconstruction failed")
     if not search.exhausted:
         rep.status = HYPOTHESIS_NOT_MET
         rep.add("note", "section search hit the budget before exhausting the "
@@ -693,11 +644,8 @@ def retraction_criterion_check(alpha: RingHom, beta: RingHom,
     rep.add("homs_available", len(homs))
     rep.add("no_presentation_exists", match is None)
     if match is not None:
-        rep.status = FAIL
-        rep.counterexample = (
-            "no section exists, yet the pullback is an amalgam along an ideal "
-            f"of size {match[1].size}"
-        )
+        rep.verdict(False, "no section exists, yet the pullback is an amalgam along an "
+                           f"ideal of size {match[1].size}")
     return rep
 
 
@@ -710,19 +658,16 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
     section (a -> (a, f(a)) gives one), and composing the section
     with the right projection recovers a hom whose amalgam along
     Ker(projection) = J is the original element set."""
-    rep = VerificationReport(
-        "retraction_roundtrip", instance or am.description, PASS,
-    )
+    rep = VerificationReport("retraction_roundtrip", instance or am.description)
     pb = am.residue_pullback
     search = find_section(pb.proj_left, budget)
     rep.add("section_found", search.found)
-    if not search.found:
-        rep.status = FAIL if search.exhausted else HYPOTHESIS_NOT_MET
-        rep.counterexample = ("no section found for an amalgam's own projection"
-                              if search.exhausted else None)
-        if not search.exhausted:
-            rep.add("note", "section search budget exhausted")
+    if not search.found and not search.exhausted:
+        rep.status = HYPOTHESIS_NOT_MET
+        rep.add("note", "section search budget exhausted")
         return rep
+    if not search.found:
+        return rep.verdict(False, "no section found for an amalgam's own projection")
     f_new = compose(pb.proj_right, search.hom)
     J_new = kernel(pb.beta)
     ideal_match = J_new == am.ideal
@@ -732,10 +677,7 @@ def retraction_roundtrip(am: Amalgam, budget: int | None = None,
     set_ok = np.array_equal(amalgam_pair_encoding(f_new, J_new), enc_pb) \
         and np.array_equal(pb.pairs, am.pairs)
     rep.add("reconstruction_set_equal", set_ok)
-    if not (ideal_match and set_ok):
-        rep.status = FAIL
-        rep.counterexample = "round trip did not recover the amalgam"
-    return rep
+    return rep.verdict(ideal_match and set_ok, "round trip did not recover the amalgam")
 
 
 def pullback_reduced_check(alpha: RingHom, beta: RingHom,
@@ -747,9 +689,7 @@ def pullback_reduced_check(alpha: RingHom, beta: RingHom,
     conversely A reduced with the beta-side intersection trivial
     forces the fiber product reduced, and symmetrically. All three
     implications are evaluated on the instance."""
-    rep = VerificationReport(
-        "pullback_reduced", instance or f"{alpha.name} vs {beta.name}", PASS,
-    )
+    rep = VerificationReport("pullback_reduced", instance or f"{alpha.name} vs {beta.name}")
     pb = pullback(alpha, beta)
     d_red = is_reduced(pb.ring)
     a_red = is_reduced(pb.left)
@@ -768,10 +708,8 @@ def pullback_reduced_check(alpha: RingHom, beta: RingHom,
     sufficient_b = (not (b_red and left_trivial)) or d_red
     rep.add("necessary_condition_holds", necessary)
     rep.add("sufficient_conditions_hold", sufficient_a and sufficient_b)
-    if not (necessary and sufficient_a and sufficient_b):
-        rep.status = FAIL
-        rep.counterexample = "an implication of the reducedness criterion failed"
-    return rep
+    return rep.verdict(necessary and sufficient_a and sufficient_b,
+                       "an implication of the reducedness criterion failed")
 
 
 def kernel_identity_check(alpha: RingHom, beta: RingHom,
@@ -782,9 +720,7 @@ def kernel_identity_check(alpha: RingHom, beta: RingHom,
     to zero under the left projection exactly when a = 0 and
     beta(b) = 0. The two membership masks are compared element by
     element."""
-    rep = VerificationReport(
-        "kernel_identity", instance or f"{alpha.name} vs {beta.name}", PASS,
-    )
+    rep = VerificationReport("kernel_identity", instance or f"{alpha.name} vs {beta.name}")
     pb = pullback(alpha, beta)
     expected = (pb.pairs[:, 0] == pb.left.zero) \
         & (beta.map[pb.pairs[:, 1]] == pb.over.zero)
@@ -792,10 +728,7 @@ def kernel_identity_check(alpha: RingHom, beta: RingHom,
     equal = np.array_equal(actual, expected)
     rep.add("kernel_matches", equal)
     rep.add("kernel_order", int(actual.sum()))
-    if not equal:
-        rep.status = FAIL
-        rep.counterexample = "Ker(proj_left) differs from {0} x Ker(beta)"
-    return rep
+    return rep.verdict(equal, "Ker(proj_left) differs from {0} x Ker(beta)")
 
 
 # -- canonical isomorphisms -----------------------------------------------------------
@@ -817,9 +750,7 @@ def canonical_isos(am: Amalgam, I: Ideal | None = None,
     I x {0} it is f(A)+J; modulo I x J it is (f(A)+J)/J, and B/J
     when f is surjective. Each is verified through its explicit
     induced map."""
-    rep = VerificationReport(
-        "canonical_isos", instance or am.description, PASS,
-    )
+    rep = VerificationReport("canonical_isos", instance or am.description)
     A, B = am.base, am.target
     if I is None:
         I = Ideal(A, am.ideal.members[am.hom.map])
@@ -869,10 +800,8 @@ def canonical_isos(am: Amalgam, I: Ideal | None = None,
         rep.add("surjective_variant_iso_target_quotient",
                 f"valid={ok5}, order {BJ.order}")
 
-    if not (ok1 and ok2 and ok3 and ok4 and ok5):
-        rep.status = FAIL
-        rep.counterexample = "a canonical quotient witness failed to validate"
-    return rep
+    return rep.verdict(ok1 and ok2 and ok3 and ok4 and ok5,
+                       "a canonical quotient witness failed to validate")
 
 
 # -- ring-theoretic criteria -----------------------------------------------------------
@@ -886,9 +815,7 @@ def domain_criterion_check(am: Amalgam, instance: str | None = None) -> Verifica
     sides provably false (a finite domain is a field, and a field
     has no proper nonzero ideal), so the equivalence is exercised
     in its degenerate regime and the degeneracy is reported."""
-    rep = VerificationReport(
-        "domain_criterion", instance or am.description, PASS,
-    )
+    rep = VerificationReport("domain_criterion", instance or am.description)
     if am.ideal.is_zero:
         rep.status = HYPOTHESIS_NOT_MET
         rep.add("note", "J = 0 is outside the criterion's hypothesis; the "
@@ -906,10 +833,7 @@ def domain_criterion_check(am: Amalgam, instance: str | None = None) -> Verifica
     rep.add("finite_degeneracy",
             "both sides false: a finite domain is a field and a field has no "
             "proper nonzero ideal")
-    if lhs != rhs:
-        rep.status = FAIL
-        rep.counterexample = "domain criterion equivalence violated"
-    return rep
+    return rep.verdict(lhs == rhs, "domain criterion equivalence violated")
 
 
 def reduced_criterion_check(am: Amalgam, instance: str | None = None) -> VerificationReport:
@@ -919,9 +843,7 @@ def reduced_criterion_check(am: Amalgam, instance: str | None = None) -> Verific
     and no nonzero nilpotent of B lies in J. When J is radical and
     the amalgam is reduced, B itself must be reduced; the check
     verifies the equivalence and that corollary on the instance."""
-    rep = VerificationReport(
-        "reduced_criterion", instance or am.description, PASS,
-    )
+    rep = VerificationReport("reduced_criterion", instance or am.description)
     lhs = is_reduced(am.ring)
     a_red = is_reduced(am.base)
     nilp_meet = nilpotent_mask(am.target) & am.ideal.members
@@ -935,10 +857,7 @@ def reduced_criterion_check(am: Amalgam, instance: str | None = None) -> Verific
     rep.add("ideal_is_radical", radical)
     corollary = (not (radical and lhs)) or is_reduced(am.target)
     rep.add("radical_corollary_holds", corollary)
-    if lhs != rhs or not corollary:
-        rep.status = FAIL
-        rep.counterexample = "reducedness criterion violated"
-    return rep
+    return rep.verdict(lhs == rhs and corollary, "reducedness criterion violated")
 
 
 def reduced_converse_search(amalgams: list[Amalgam],
@@ -949,16 +868,13 @@ def reduced_converse_search(amalgams: list[Amalgam],
     ideal meets the target's nilradical trivially while f(A)+J is
     not reduced. Reports the witness or its absence; absence is a
     statement about the scanned instances only."""
-    rep = VerificationReport(
-        "reduced_converse_search", instance or f"{len(amalgams)} instances", PASS,
-    )
+    rep = VerificationReport("reduced_converse_search", instance or f"{len(amalgams)} instances")
     found = None
     for am in amalgams:
         nilp_meet = nilpotent_mask(am.target) & am.ideal.members
         if not (is_reduced(am.base) and int(nilp_meet.sum()) == 1):
             continue
-        bd_ring, _ = subrng_as_ring(image_plus_ideal(am.hom, am.ideal))
-        if not is_reduced(bd_ring):
+        if not is_reduced(am.target_image[0].codomain):
             found = am
             break
     rep.add("instances_scanned", len(amalgams))

@@ -33,7 +33,7 @@ from .morphisms import (
     kernel,
     verify_iso,
 )
-from .reports import FAIL, PASS, THEOREM_BACKED, VerificationReport
+from .reports import THEOREM_BACKED, VerificationReport
 from .rings import _TABLE_DTYPE, FiniteRng, _digits, _monomials, _sub, is_field, trunc_poly
 from .subobjects import (
     FiniteModule,
@@ -125,10 +125,8 @@ def nagata_as_amalgam_check(base: FiniteRng, module: FiniteModule,
     embedded module. The collapse (a, iota(a)+j) -> iota(a)+j is a
     bijective hom onto B."""
     idl = nagata_idealization(base, module)
-    rep = VerificationReport(
-        "nagata_as_amalgam",
-        instance or f"{base.name},module order {module.order}", PASS,
-    )
+    rep = VerificationReport("nagata_as_amalgam",
+                             instance or f"{base.name},module order {module.order}")
     J = idl.module_ideal()
     am = amalgam(idl.embed_base, J)
     rep.add("extension_order", idl.ring.order)
@@ -139,10 +137,8 @@ def nagata_as_amalgam_check(base: FiniteRng, module: FiniteModule,
     rep.add("module_ideal_square_zero", square_zero)
     valid = verify_iso(am.proj_target)
     rep.add("collapse_map_is_iso", valid)
-    if not (valid and square_zero and am.ring.order == idl.ring.order):
-        rep.status = FAIL
-        rep.counterexample = "square-zero extension does not match its amalgam"
-    return rep
+    return rep.verdict(valid and square_zero and am.ring.order == idl.ring.order,
+                       "square-zero extension does not match its amalgam")
 
 
 # -- coefficient subring plus maximal ideals -------------------------------------------
@@ -175,10 +171,8 @@ def d_plus_m(T: FiniteRng, D: Subrng, Ms: list[Ideal],
             )
         Jmask &= M.members
     J = ideal_from_members(T, Jmask)
-    rep = VerificationReport(
-        "d_plus_m",
-        instance or f"{T.name},D size {D.size},{len(Ms)} maximal ideals", PASS,
-    )
+    rep = VerificationReport("d_plus_m",
+                             instance or f"{T.name},D size {D.size},{len(Ms)} maximal ideals")
     rep.add("ideal_order", J.size)
     D_ring, iota = subrng_as_ring(D, name="coefficient_subring")
     am = amalgam(iota, J)
@@ -194,10 +188,9 @@ def d_plus_m(T: FiniteRng, D: Subrng, Ms: list[Ideal],
     rep.add("iso_witness_valid", valid)
     order_ok = result.size == D.size * J.size
     rep.add("order_law_holds", order_ok)
-    if not (set_ok and valid and order_ok):
-        rep.status = FAIL
-        rep.counterexample = "sum subring does not match its amalgam"
-    return result, rep  # D + J as a subring of T
+    # D + J as a subring of T
+    return result, rep.verdict(set_ok and valid and order_ok,
+                               "sum subring does not match its amalgam")
 
 
 # -- localization preimage rings --------------------------------------------------------
@@ -239,9 +232,7 @@ def cpi_prime(A: FiniteRng, P: Ideal,
         raise AmbientMismatch("ideal does not live in the given ring")
     if not is_prime(P):
         raise NotPrime(f"ideal of size {P.size} is not prime")
-    rep = VerificationReport(
-        "cpi_prime", instance or f"{A.name},P size {P.size}", PASS,
-    )
+    rep = VerificationReport("cpi_prime", instance or f"{A.name},P size {P.size}")
     S = np.flatnonzero(~P.members)
     loc, lam = localization(A, S)
     rep.add("localization_order", loc.order)
@@ -255,10 +246,8 @@ def cpi_prime(A: FiniteRng, P: Ideal,
     rep.add("residue_ring_is_field", field_ok)
     C_mask = image(compose(psi, lam)).members[psi.map]
     C_ring, ok = _preimage_ring(rep, lam, PE, P, C_mask, "contraction_is_P")
-    if not (local_ok and field_ok and ok):
-        rep.status = FAIL
-        rep.counterexample = "a preimage-ring identification failed"
-    return C_ring, rep
+    return C_ring, rep.verdict(local_ok and field_ok and ok,
+                               "a preimage-ring identification failed")
 
 
 def cpi_ideal(A: FiniteRng, I: Ideal,
@@ -273,9 +262,7 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
         raise AmbientMismatch("ideal does not live in the given ring")
     if I.size == A.order and A.order > 1:
         raise InvalidParameter("ideal must be proper")
-    rep = VerificationReport(
-        "cpi_ideal", instance or f"{A.name},I size {I.size}", PASS,
-    )
+    rep = VerificationReport("cpi_ideal", instance or f"{A.name},I size {I.size}")
     S = regular_elements_mod(A, I)
     rep.add("regular_set_order", S.size)
     loc, lam = localization(A, S)
@@ -293,9 +280,7 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
     well_defined = (phi_map >= 0).all() and (phi_map[lam.map] == reduced).all()
     rep.add("fraction_reduction_well_defined", bool(well_defined))
     if not well_defined:
-        rep.status = FAIL
-        rep.counterexample = "fraction reduction map is not well defined"
-        return loc, rep
+        return loc, rep.verdict(False, "fraction reduction map is not well defined")
     # phi . lam = lamQ . piI (checked above) is a unital hom and lam is onto,
     # so phi(lam a + lam b) = lamQ piI (a + b) = phi(lam a) + phi(lam b), and
     # alike for *: phi is a hom without a scan
@@ -303,10 +288,7 @@ def cpi_ideal(A: FiniteRng, I: Ideal,
                   check=False)
     C_ring, ok = _preimage_ring(rep, lam, J, I, image(lamQ).members[phi.map],
                                 "contraction_is_I")
-    if not ok:
-        rep.status = FAIL
-        rep.counterexample = "a preimage-ring identification failed"
-    return C_ring, rep
+    return C_ring, rep.verdict(ok, "a preimage-ring identification failed")
 
 
 # -- constrained truncated polynomial rings ---------------------------------------------
@@ -336,12 +318,9 @@ def trunc_poly_amalgam(A: Subrng, B: FiniteRng, J: Ideal, num_vars: int,
     for t in range(1, m):
         member_mask &= J.members[digits[t]]
         jmask &= J.members[digits[t]]
-    rep = VerificationReport(
-        "trunc_poly_amalgam",
-        instance or f"{B.name},A size {A.size},J size {J.size},"
-                    f"r={num_vars},k={max_deg}",
-        PASS,
-    )
+    rep = VerificationReport("trunc_poly_amalgam",
+                             instance or f"{B.name},A size {A.size},J size {J.size},"
+                                         f"r={num_vars},k={max_deg}")
     rep.add("ambient_order", P.order)
     rep.add("nonconstant_monomials", m - 1)
     A_ring, embed_A = subrng_as_ring(A, name="coefficient_subring")
@@ -360,10 +339,8 @@ def trunc_poly_amalgam(A: Subrng, B: FiniteRng, J: Ideal, num_vars: int,
     rep.add("iso_witness_valid", valid)
     order_ok = am.ring.order == A.size * J.size ** (m - 1)
     rep.add("order_law_holds", order_ok)
-    if not (set_ok and valid and order_ok):
-        rep.status = FAIL
-        rep.counterexample = "constrained polynomial subring mismatch"
-    return collapse.codomain, rep
+    return collapse.codomain, rep.verdict(set_ok and valid and order_ok,
+                                          "constrained polynomial subring mismatch")
 
 
 # -- Noetherianity ---------------------------------------------------------------------
@@ -377,9 +354,7 @@ def noetherian_report(am: Amalgam, instance: str | None = None) -> VerificationR
     over the base through f, of minimum size when its budgeted search
     finishes (generating_set_minimal), finiteness of the base, of
     f(A)+J, and of the induced residue map."""
-    rep = VerificationReport(
-        "noetherian", instance or am.description, PASS,
-    )
+    rep = VerificationReport("noetherian", instance or am.description)
     rep.add("base_noetherian", f"true (finite, order {am.base.order})")
     bd = image_plus_ideal(am.hom, am.ideal)
     rep.add("image_plus_ideal_noetherian", f"true (finite, order {bd.size})")
@@ -393,10 +368,7 @@ def noetherian_report(am: Amalgam, instance: str | None = None) -> VerificationR
     rep.add("amalgam_noetherian", f"true (finite, order {am.ring.order})")
     gen_ok = bool(submodule_generated(M, gs.indices).all())
     rep.add("generators_verified", gen_ok)
-    if not gen_ok:
-        rep.status = FAIL
-        rep.counterexample = "reported generating set does not generate"
-    return rep
+    return rep.verdict(gen_ok, "reported generating set does not generate")
 
 
 def noetherian_verdict_xjx(A: Subrng, B: FiniteRng, J: Ideal,

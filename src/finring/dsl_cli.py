@@ -9,7 +9,9 @@ it, and the evaluator caches values by rendered form, which makes repeated
 checks on one instance cheap and report order independent of caching.
 
 Exit codes: 0 when no check fails, 1 when any check fails, 2 for usage,
-parse, or name errors, 3 when a check raises an unexpected error.
+parse, or name errors (a file that cannot be read, written or decoded as
+UTF-8, and an expression deeper than MAX_DEPTH, among them), 3 when a check
+raises an unexpected error.
 Precondition violations inside a check (guard exceeded, non-prime ideal,
 hypothesis not satisfied) become reports with status hypothesis_not_met
 rather than run failures; a violated internal invariant fails its check.
@@ -274,6 +276,11 @@ class Script:
 
 
 _DEF_KINDS = (RING, IDEAL, HOM)
+# The deepest expression a script may build. A form counts one level, a name
+# as many as its definition, and a definition that only renames a name one
+# more, so that parsing, `_last_uses` and `Evaluator.value`, which recurse
+# once per level, stay far inside Python's recursion limit.
+MAX_DEPTH = 100
 _SEPARATORS = {", ": "COMMA", "; ": "SEMI", " -> ": "ARROW"}
 
 
@@ -283,12 +290,16 @@ def _a(kind: str) -> str:  # "an ideal", "an amalgam", "a ring"
 
 class _Parser:
     """Recursive descent with one token of lookahead, scanned when first
-    peeked at, so of two errors the one earlier in the source is raised."""
+    peeked at, so of two errors the one earlier in the source is raised.
+    `level` counts the forms open around the current token, and `reach` is
+    the deepest level the current statement has touched."""
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.tok: Token | None = None
         self.env: dict[str, str] = {}
+        self.depths: dict[str, int] = {}
+        self.level = self.reach = 0
 
     def peek(self) -> Token:
         if self.tok is None:
@@ -307,6 +318,12 @@ class _Parser:
                 tok.line, tok.col, (what,),
             )
         return self.next()
+
+    def deeper(self, depth: int, at: Token | Expr) -> None:
+        if depth > MAX_DEPTH:
+            raise ScriptSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep",
+                                    at.line, at.col)
+        self.reach = max(self.reach, depth)
 
     def parse(self) -> Script:
         defs: list[Definition] = []
@@ -332,7 +349,10 @@ class _Parser:
                 name_tok.line, name_tok.col,
             )
         self.expect("EQUALS", "=")
+        self.reach = 0
         expr = self.expression()
+        if expr.form == "ref":
+            self.deeper(self.reach + 1, expr)
         if expr.kind != kw.value:
             raise TypeMismatch(
                 f"line {name_tok.line}: {kw.value} {name_tok.value} is bound "
@@ -340,6 +360,7 @@ class _Parser:
             )
         self.expect("SEMI", ";")
         self.env[name_tok.value] = kw.value
+        self.depths[name_tok.value] = self.reach
         return Definition(kw.value, name_tok.value, expr, kw.line)
 
     def check_stmt(self) -> CheckStmt:
@@ -370,17 +391,19 @@ class _Parser:
     def expression(self) -> Expr:
         tok = self.peek()
         if tok.type == "NUMBER":
-            self.next()
-            return Expr("int", INT, (int(tok.value),), tok.line, tok.col)
+            return Expr("int", INT, (self.number("expression"),), tok.line, tok.col)
         name = self.expect("NAME", "expression").value
         if name in _FORMS:
             return self.form_expr(name, tok)
         kind = self.env.get(name)
         if kind is None:
             raise UnknownName(f"line {tok.line}: unknown name {name!r}")
+        self.deeper(self.level + self.depths[name], tok)
         return Expr("ref", kind, (name,), tok.line, tok.col)
 
     def form_expr(self, form: str, tok: Token) -> Expr:
+        self.level += 1
+        self.deeper(self.level, tok)
         self.expect("LPAREN", "(")
         args: list = []
         for slot in _FORMS[form].slots:
@@ -392,6 +415,7 @@ class _Parser:
                 self.expect(sep, slot.sep.strip())
             args.append(self.slot(slot))
         self.expect("RPAREN", ")")
+        self.level -= 1
         return Expr(form, _FORMS[form].kind, tuple(args), tok.line, tok.col)
 
     def slot(self, slot: _Slot):
@@ -406,7 +430,15 @@ class _Parser:
             return self.label()
         if read in _DEF_KINDS:
             return self.typed_expression(read)
-        return int(self.expect("NUMBER", read).value)
+        return self.number(read)
+
+    def number(self, what: str) -> int:
+        tok = self.expect("NUMBER", what)
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than int() converts
+            raise ScriptSyntaxError(f"number of {len(tok.value)} digits is too long",
+                                    tok.line, tok.col) from None
 
     def typed_expression(self, kind: str) -> Expr:
         expr = self.expression()
@@ -502,7 +534,7 @@ def _run_cardinality(am, instance: str) -> VerificationReport:
     {(a, f(a)+j)} of A x B. The assignment (a, j) -> (a, f(a)+j) is
     injective, so the order equals |A| * |J| exactly, and the graph
     {(a, f(a))} sits inside it as the j = 0 slice."""
-    rep = VerificationReport("cardinality", instance, PASS)
+    rep = VerificationReport("cardinality", instance)
     rep.add("base_order", am.base.order)
     rep.add("ideal_order", am.ideal.size)
     rep.add("amalgam_order", am.ring.order)
@@ -514,10 +546,8 @@ def _run_cardinality(am, instance: str) -> VerificationReport:
     graph_in = bool(hit.all())
     rep.add("graph_contained", graph_in)
     rep.add("graph_embedding_injective", am.embed.is_injective)
-    if not (exact and graph_in and am.embed.is_injective):
-        rep.status = FAIL
-        rep.counterexample = "order law or graph containment violated"
-    return rep
+    return rep.verdict(exact and graph_in and am.embed.is_injective,
+                       "order law or graph containment violated")
 
 
 def _run_dotted_presentation(am, instance: str) -> VerificationReport:
@@ -528,17 +558,15 @@ def _run_dotted_presentation(am, instance: str) -> VerificationReport:
     embeds as an ideal, the base projection retracts the embedding,
     and the explicit coordinate map onto the pair form is a bijective
     hom."""
-    rep = VerificationReport("dotted_presentation", instance, PASS)
+    rep = VerificationReport("dotted_presentation", instance)
     dotted, transport = dotted_transport(am)
     split = split_sequence_check(dotted)
     for w in split.witnesses:
         rep.add(w.name, w.value)
     iso_ok = verify_iso(transport)
     rep.add("transport_iso_valid", iso_ok)
-    if split.status != PASS or not iso_ok:
-        rep.status = FAIL
-        rep.counterexample = split.counterexample or "transport iso invalid"
-    return rep
+    return rep.verdict(split.status == PASS and iso_ok,
+                       split.counterexample or "transport iso invalid")
 
 
 def _spec(name, params, fn, runner=None, variadic=False) -> CheckSpec:
@@ -630,8 +658,7 @@ def evaluate(script: Script) -> list[VerificationReport]:
             rep = VerificationReport(chk.name, instance, HYPOTHESIS_NOT_MET)
             rep.add("note", str(exc))
         except InvariantViolated as exc:
-            rep = VerificationReport(chk.name, instance, FAIL)
-            rep.counterexample = str(exc)
+            rep = VerificationReport(chk.name, instance).verdict(False, str(exc))
         except Exception as exc:
             raise EvaluationError(f"{chk.name}: {exc}", chk.line, chk.col) from exc
         rep.millis = (time.perf_counter() - start) * 1000.0
@@ -890,16 +917,21 @@ def main(argv: list[str] | None = None) -> int:
 
     with _stdout():
         args = parser.parse_args(argv)
+    if args.command == "check" and args.guard is not None \
+            and not 1 <= args.guard <= config.max_size_guard():
+        bound = "at least 1" if args.guard < 1 else f"at most {config.max_size_guard()}"
+        p_check.error(f"argument --guard: must be {bound}, got {args.guard}")
+    try:
+        return _command(args, parser)
+    except (OSError, UnicodeDecodeError) as exc:  # the script or an output file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "check":
-        if args.guard is not None and not 1 <= args.guard <= config.max_size_guard():
-            bound = "at least 1" if args.guard < 1 else f"at most {config.max_size_guard()}"
-            p_check.error(f"argument --guard: must be {bound}, got {args.guard}")
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
         try:
             script = parse(text)
         except (ScriptSyntaxError, UnknownName, TypeMismatch) as exc:
@@ -915,23 +947,15 @@ def main(argv: list[str] | None = None) -> int:
         with _stdout():
             _print_table(reports)
         if args.json:
-            try:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(reports_to_json(reports))
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(reports_to_json(reports))
         return 1 if any(r.status == FAIL for r in reports) else 0
 
     if args.command == "catalog":
         text = generate_catalog(args.seed, args.budget)
         if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         else:
             with _stdout():
                 sys.stdout.write(text)

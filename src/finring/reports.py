@@ -55,7 +55,7 @@ class Witness:
 class VerificationReport:
     check: str
     instance: str
-    status: str
+    status: str = PASS
     witnesses: list[Witness] = field(default_factory=list)
     counterexample: str | None = None
     millis: float = 0.0
@@ -69,9 +69,13 @@ class VerificationReport:
                 return w.value
         return None
 
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
+    def verdict(self, ok: bool, counterexample: str) -> VerificationReport:
+        """Unless `ok`, mark the report failed with `counterexample`. The one
+        place a check records a failure; returns the report."""
+        if not ok:
+            self.status = FAIL
+            self.counterexample = counterexample
+        return self
 
     def line(self) -> str:
         return f"{self.status.upper():18s} {self.check}({self.instance})"

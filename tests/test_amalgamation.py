@@ -252,6 +252,40 @@ def test_same_amalgam_equivalence_both_ways():
     assert differ.witness("element_sets_equal") == "False"
 
 
+def test_counterexamples_that_read_the_failure_are_built_only_on_failure(monkeypatch):
+    # A passing run must not read data that exists only on failure (the match
+    # of `_find_presentation`, the first a outside the ideal), and a failing
+    # run names it.
+    r2, p22 = zmod(2), direct_product([zmod(2), zmod(2)])
+    proj1, proj2 = enumerate_homs(p22, r2)
+    beta = enumerate_homs(zmod(4), r2)[0]
+    assert factor_check(proj1, identity_hom(r2), proj2).status == PASS
+    assert retraction_criterion_check(identity_hom(r2), beta).status == PASS
+    found = ideal_from_generators(r2, [1])
+    monkeypatch.setattr(finring.amalgamation, "_find_presentation",
+                        lambda homs, ideals, enc: ((proj2, found), 1))
+    neg = factor_check(proj1, identity_hom(r2), proj2)
+    assert (neg.status, neg.counterexample) == (
+        FAIL, "no factorization, yet the pullback equals the amalgam along an "
+              "ideal of size 2")
+    cert = retraction_criterion_check(identity_hom(r2), beta)
+    assert (cert.status, cert.counterexample) == (
+        FAIL, "no section exists, yet the pullback is an amalgam along an ideal of size 2")
+
+    ideal = ideal_from_generators(p22, [p22.index_of("(1,0)")])
+    swap = next(h for h in enumerate_homs(p22, p22) if h.map.tolist() == [0, 2, 1, 3])
+    monkeypatch.setattr(finring.amalgamation, "amalgam_pair_encoding",
+                        lambda f, J: np.arange(3))  # every element set looks equal
+    broken = same_amalgam(identity_hom(p22), swap, ideal)
+    assert (broken.status, broken.counterexample) == (FAIL, "equivalence broken at a=(0,1)")
+    collapse = next(h for h in enumerate_homs(p22, p22) if h.map.tolist() == [0, 3, 0, 3])
+    monkeypatch.setattr(finring.amalgamation, "amalgam_pair_encoding",
+                        lambda f, J: f.map)  # and now the homs' sets differ
+    broken = same_amalgam(identity_hom(p22), collapse, ideal)
+    assert (broken.status, broken.counterexample) == (
+        FAIL, "sets differ yet differences lie in the ideal")
+
+
 def test_n_amalgam_order_law_matches_naive_count():
     r = zmod(4)
     ideal = ideal_from_generators(r, [2])

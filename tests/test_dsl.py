@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finring.dsl_cli import (
     Evaluator,
@@ -573,3 +578,146 @@ def test_huge_numbers_are_refused_before_big_integer_work(tmp_path, check, note)
     report = json.loads(out.read_text())["reports"][0]
     assert report["status"] == HYPOTHESIS_NOT_MET
     assert report["witnesses"] == [{"name": "note", "value": note}]
+
+
+# -- no script crashes the CLI ---------------------------------------------------------
+
+
+def _nested(depth: int) -> str:
+    """A ring expression `depth` levels deep: zmod(2) under trunc_poly(·, 1, 0),
+    which keeps the order at 2."""
+    text = "zmod(2)"
+    for _ in range(depth - 1):
+        text = f"trunc_poly({text}, 1, 0)"
+    return text
+
+
+def _chain(length: int, alias: bool = False) -> str:
+    """Definitions A0 .. A{length-1}, each one level deeper than the last:
+    A0 = zmod(2), then A{k} = trunc_poly(A{k-1}, 1, 0) or, with `alias`,
+    A{k} = A{k-1}."""
+    step = "A{}" if alias else "trunc_poly(A{}, 1, 0)"
+    return "ring A0 = zmod(2);\n" + "".join(
+        f"ring A{k} = {step.format(k - 1)};\n" for k in range(1, length))
+
+
+def _check_bytes(data: bytes) -> tuple[int, str, str]:
+    """`finring check` run in process on a file that holds `data`: the exit
+    code, standard output and standard error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        script = Path(tmp) / "s.fr"
+        script.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(script)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"ring A = zmod(4);\n\xff",
+     "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+    ("ring A = {};\n".format("product(" * 200 + "zmod(2)" + ", zmod(2))" * 200).encode(),
+     "line 1, col 810: expression nested more than 100 levels deep"),
+    (_chain(400).encode() + b"check dorroh(gen(A399; 1));\n",
+     "line 101, col 24: expression nested more than 100 levels deep"),
+    (_chain(240).encode() + b"check dorroh(gen(A239; 1));\n",
+     "line 101, col 24: expression nested more than 100 levels deep"),
+    (_chain(600, alias=True).encode() + b"check dorroh(gen(A599; 1));\n",
+     "line 101, col 13: expression nested more than 100 levels deep"),
+    (b"ring A = zmod(" + b"9" * 5000 + b");\n",
+     "line 1, col 15: number of 5000 digits is too long"),
+], ids=["not_utf8", "nested_200", "chain_400", "chain_240", "alias_chain_600",
+        "number_of_5000_digits"])
+def test_inputs_that_once_crashed_are_usage_errors(data, message):
+    assert _check_bytes(data) == (2, "", f"error: {message}\n")
+
+
+def test_depth_bound_counts_forms_and_names():
+    parse(f"ring A = {_nested(100)};")
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse(f"ring A = {_nested(101)};")
+    # the innermost zmod is the form that goes past the bound
+    assert (err.value.line, err.value.col) == (1, 10 + len("trunc_poly(") * 100)
+    parse(_chain(100))
+    parse(_chain(100, alias=True))
+    for alias in (False, True):
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse(_chain(101, alias))
+        assert err.value.line == 101
+    # a name counts as its definition, so one more form around it goes past
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse(_chain(100) + "check dorroh(gen(A99; 1));")
+    assert (err.value.line, err.value.col) == (101, 18)
+
+
+@pytest.mark.parametrize("text, name", [
+    (f"ring A = {_nested(98)};\n", "A"),
+    (_chain(98), "A97"),
+], ids=["nesting", "chain"])
+def test_expressions_at_the_depth_bound_still_evaluate(text, name):
+    # the ring is 98 levels deep and dup(R, gen(R; 1)) two levels above it,
+    # so the checked expressions are 100 deep
+    checks = (f"check cardinality(dup({name}, gen({name}; 1)));\n"
+              f"check cpi_prime({name}, gen({name}; 0));\n")
+    code, out, err = _check_bytes((text + checks).encode())
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "2 checks: 2 conclusive, 0 hypothesis_not_met, 0 failed"
+
+
+_CATALOG_16 = [line + "\n" for line in generate_catalog(0, 16).splitlines()
+               if line and not line.startswith("#")]
+_DEFS_16 = [line for line in _CATALOG_16 if not line.startswith("check ")]
+_CHECKS_16 = [line for line in _CATALOG_16 if line.startswith("check ")]
+
+
+@st.composite
+def _spliced_catalogs(draw) -> bytes:
+    """Every definition of the budget-16 catalog and a few of its checks, in
+    any order, and then perhaps a span cut out and arbitrary bytes put in."""
+    checks = draw(st.lists(st.sampled_from(_CHECKS_16), max_size=4))
+    lines = draw(st.permutations(_DEFS_16)) if draw(st.booleans()) else _DEFS_16
+    data = "".join(lines + checks).encode()
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 64)))
+        data = data[:start] + draw(st.binary(max_size=8)) + data[end:]
+    return data
+
+
+def _assert_exits_cleanly(data: bytes) -> None:
+    """No exception escapes, and a run that does not exit 0 or 1 writes one
+    `error:` line and nothing else."""
+    code, _, err = _check_bytes(data)
+    assert code in {0, 1, 2, 3}
+    if code in {2, 3}:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.binary(max_size=200))
+def test_arbitrary_bytes_never_escape_the_cli(data):
+    _assert_exits_cleanly(data)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_spliced_catalogs())
+def test_spliced_catalog_statements_never_escape_the_cli(data):
+    _assert_exits_cleanly(data)
+
+
+# -- one verdict rule ------------------------------------------------------------------
+
+
+def test_verdict_fails_a_report_only_when_its_condition_does_not_hold():
+    rep = VerificationReport("cardinality", "x")
+    assert rep.verdict(True, "unused") is rep
+    assert (rep.status, rep.counterexample) == (PASS, None)
+    assert rep.verdict(np.bool_(True), "unused") is rep
+    assert (rep.status, rep.counterexample) == (PASS, None)
+    assert rep.verdict(False, "order law violated") is rep
+    assert (rep.status, rep.counterexample) == (FAIL, "order law violated")
+    # the status is still the third positional argument
+    kept = VerificationReport("noetherian_xjx", "x", HYPOTHESIS_NOT_MET)
+    assert kept.verdict(True, "unused").status == HYPOTHESIS_NOT_MET

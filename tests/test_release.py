@@ -8,6 +8,7 @@ that exist."""
 
 from __future__ import annotations
 
+import ast
 import collections
 import gc
 import importlib.util
@@ -19,7 +20,7 @@ import pytest
 from finring import dsl_cli
 from finring.dsl_cli import evaluate, generate_catalog, parse
 from finring.morphisms import RingHom
-from finring.reports import PASS
+from finring.reports import FAIL, PASS
 from finring.rings import FiniteRng
 from test_guard import guard_run, reads
 
@@ -52,6 +53,40 @@ def test_every_traced_name_exists():
                if not callable(getattr(importlib.import_module(f"finring.{mod}"), name, None))]
     assert missing == []
     assert callable(dsl_cli.Evaluator.value) and callable(dsl_cli.Evaluator._build)
+
+
+def _assigns_a_failure(node: ast.AST) -> bool:
+    """An assignment to `.counterexample`, or of FAIL to `.status`, or a
+    VerificationReport built with FAIL or a counterexample."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            attr = getattr(target, "attr", None)
+            if attr == "counterexample" or attr == "status" and _names_fail(node.value):
+                return True
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "VerificationReport":
+        return any(map(_names_fail, node.args)) or any(
+            kw.arg == "counterexample" or kw.arg == "status" and _names_fail(kw.value)
+            for kw in node.keywords)
+    return False
+
+
+def _names_fail(node: ast.AST | None) -> bool:
+    return node is not None and any(
+        getattr(n, "id", None) == "FAIL" or getattr(n, "attr", None) == "FAIL"
+        or getattr(n, "value", None) == FAIL for n in ast.walk(node))
+
+
+def test_only_the_verdict_rule_fails_a_report():
+    """`VerificationReport.verdict` is the one place that records a failed
+    check: no other module of the package sets a FAIL status or a
+    counterexample by hand."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((REPO / "src" / "finring").glob("*.py"))
+             if path.name != "reports.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _assigns_a_failure(node)]
+    assert found == []
 
 
 @pytest.mark.parametrize("workload", ["catalog", "scale"])
