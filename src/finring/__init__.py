@@ -7,8 +7,6 @@ with the classical constructions they subsume, and every named proposition
 about them ships as a check that recomputes both sides on the instance.
 """
 
-from __future__ import annotations
-
 from .amalgamation import (
     Amalgam,
     DottedSum,
@@ -67,62 +65,5 @@ from .subobjects import (
     quotient_ring,
     subring_generated,
 )
-
-__all__ = [
-    "Amalgam",
-    "DottedSum",
-    "FiniteRng",
-    "FinringError",
-    "Ideal",
-    "Idealization",
-    "RingHom",
-    "Subrng",
-    "VerificationReport",
-    "all_ideals",
-    "amalgam",
-    "canonical_isos",
-    "cpi_ideal",
-    "cpi_prime",
-    "d_plus_m",
-    "direct_product",
-    "domain_criterion_check",
-    "dorroh",
-    "dorroh_check",
-    "dotted_sum",
-    "dotted_transport",
-    "duplication",
-    "enumerate_homs",
-    "evaluate",
-    "find_iso",
-    "find_section",
-    "from_tables",
-    "galois_field",
-    "generate_catalog",
-    "guard_limit",
-    "ideal_from_generators",
-    "identity_hom",
-    "kernel",
-    "localization",
-    "main",
-    "n_amalgam",
-    "nagata_idealization",
-    "nilradical",
-    "noetherian_report",
-    "noetherian_verdict_xjx",
-    "parse",
-    "pullback",
-    "quotient_ring",
-    "reduced_criterion_check",
-    "reports_to_json",
-    "retraction_criterion_check",
-    "same_amalgam",
-    "set_size_guard",
-    "size_guard",
-    "subring_generated",
-    "trunc_poly",
-    "trunc_poly_amalgam",
-    "verify_iso",
-    "zmod",
-]
 
 __version__ = "0.1.0"

@@ -270,11 +270,8 @@ def complete_hom(A: FiniteRng, B: FiniteRng, gens: tuple[int, ...], assignments,
     for op, z, x, y in program:
         maps[z] = tables[op][maps[x], maps[y]]
     columns = maps.reshape(A.order, -1).T
-    for table_a, table_b, cols in zip((A.add, A.mul), tables,
-                                      A._generator_columns or (None, None)):
-        ok &= (np.array([_first_miss(m, table_a, table_b) is None for m in columns])
-               if cols is None  # no S: the full scan
-               else _respects(maps, cols, table_b, A.additive_gens))
+    for table_b, cols in zip(tables, A._generator_columns):
+        ok &= _respects(maps, cols, table_b, A.additive_gens)
     return [m if good else None for m, good in zip(columns, np.atleast_1d(ok))]
 
 

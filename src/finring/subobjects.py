@@ -255,13 +255,8 @@ def unit_ideal(ring: FiniteRng) -> Ideal:
     return Ideal(ring, mask)
 
 
-def _same_ambient(a, b) -> None:
-    if a.ring != b.ring:
-        raise AmbientMismatch("operands live in different ambient rings")
-
-
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    _same_ambient(I, J)
+    _require_same_ring(I.ring, J)
     prods = _sub(I.ring.mul, I.indices, J.indices)
     return ideal_from_generators(I.ring, _distinct(prods, I.ring.order))
 
@@ -308,6 +303,8 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     holds. The projection, the class map of that congruence, is a hom onto
     the quotient's tables by construction and not validated either. The
     classes of the additive generators of `ring` generate the quotient.
+    The class map of {0} is the identity, so ring/{0} holds ring's own
+    read-only tables under its own labels, and no table is gathered.
     """
     from .morphisms import RingHom
 
@@ -315,8 +312,11 @@ def quotient_ring(ring: FiniteRng, I: Ideal):
     key = I.members.tobytes()
     if key not in ring._quotients:
         reps, class_of = coset_representatives(ring, I)
-        add = class_of[_sub(ring.add, reps, reps)]
-        mul = class_of[_sub(ring.mul, reps, reps)]
+        if I.size == 1:
+            add, mul = ring.add, ring.mul
+        else:
+            add = class_of[_sub(ring.add, reps, reps)]
+            mul = class_of[_sub(ring.mul, reps, reps)]
         zero = int(class_of[ring.zero])
         one = int(class_of[ring.one]) if ring.has_one else None
         labels = [f"[{ring.labels[r]}]" for r in reps]
@@ -347,19 +347,13 @@ def regular_elements_mod(ring: FiniteRng, I: Ideal) -> np.ndarray:
     """Indices of all s whose class in ring/I is nonzero and not a zero
     divisor. When ring/I is the zero ring the convention is that every
     element qualifies. ring/I is read from `quotient_ring`'s cache, and
-    ring/{0} is ring itself, so no table is gathered here."""
-    _require_same_ring(ring, I)
-    if I.size == ring.order:
-        return np.arange(ring.order)
-    if I.size == 1:
-        mul, zero, class_of = ring.mul, ring.zero, None
-    else:
-        quotient, proj = quotient_ring(ring, I)
-        mul, zero, class_of = quotient.mul, quotient.zero, proj.map
+    ring/{0} shares ring's tables, so no table is gathered here."""
+    quotient, proj = quotient_ring(ring, I)
     # x*0 = 0, so a class is regular exactly when its row holds zero once;
-    # the zero row holds it in every column
-    regular = np.count_nonzero(mul == zero, axis=1) == 1
-    return np.flatnonzero(regular if class_of is None else regular[class_of])
+    # the zero row holds it in every column, unless ring/I is the zero ring,
+    # whose one row holds it once: then every element qualifies
+    regular = np.count_nonzero(quotient.mul == quotient.zero, axis=1) == 1
+    return np.flatnonzero(regular[proj.map])
 
 
 def localization(ring: FiniteRng, s_indices) -> tuple:

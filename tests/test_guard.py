@@ -116,8 +116,8 @@ def run_child(argv, limit: int | None = None, timeout: float = 60, cwd=None) -> 
 # keeps each row's measured peak below about 85% of its bound, room for how
 # glibc reuses freed blocks (one `alt_pullbacks` child moved from 458 to
 # 477 MB when only its block size changed). The peaks, from this runner on a
-# 2-CPU x86-64 host (Python 3.11, numpy 2.4, int16 tables), were 120 to 466
-# MiB: `cpi_prime(gf(4096), (0))` 466 MiB, about 28 bytes per cell, so c = 32;
+# 2-CPU x86-64 host (Python 3.11, numpy 2.4, int16 tables), were 120 to 321
+# MiB: `cpi_prime(gf(4096), (0))` 321 MiB, about 20 bytes per cell, so c = 24;
 # the ten checks on the duplication of Z/2048 302 MiB, so c = 24
 # (`alt_pullbacks` alone is 233 MiB, about 14 bytes per cell); the ring
 # builds 120 MiB, so c = 8; every other row 184 to 255 MiB, so c = 16.
@@ -197,7 +197,7 @@ TO_Z8 = ", ".join(str(a % 8) for a in range(4096))
 ROWS = [
     # a field localized at its 4095 nonzero elements: A/P, the
     # localization, its residue field and the amalgam, all of order 4096
-    Row("cpi_prime_gf4096", c=32, checks=passes("cpi_prime(gf(4096), gen(gf(4096); 0))")),
+    Row("cpi_prime_gf4096", c=24, checks=passes("cpi_prime(gf(4096), gen(gf(4096); 0))")),
     Row("build_trunc_poly", c=8, code=BUILD, stdout=("4096", "True", "True") * 2,
         argv=("trunc_poly(zmod(2), 1, 11)", "trunc_poly(zmod(4), 2, 2)")),
     Row("build_products", c=8, code=BUILD, stdout=("4096", "True", "True") * 3,

@@ -155,6 +155,52 @@ def test_regular_elements_mod_matches_naive():
     assert got.size == 6  # the odd residues
 
 
+@pytest.mark.parametrize("ring", [zmod(12), galois_field(4), direct_product([zmod(2), zmod(4)])],
+                         ids=lambda r: r.name)
+def test_quotient_by_zero_shares_the_ring_tables(ring):
+    quotient, proj = quotient_ring(ring, zero_ideal(ring))
+    assert quotient.add is ring.add and quotient.mul is ring.mul
+    assert quotient.labels == tuple(f"[{label}]" for label in ring.labels)
+    assert quotient != ring
+    assert proj.map.tolist() == list(range(ring.order))
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(1), zmod(12), galois_field(4), direct_product([zmod(2), zmod(4)]),
+    trunc_poly(zmod(2), 1, 2), ideal_as_rng(ideal_from_generators(zmod(8), [2]))[0],
+], ids=lambda r: r.name)
+def test_regular_elements_mod_matches_its_definition_for_every_ideal(ring):
+    # s qualifies when its class is nonzero and no zero divisor, or when
+    # ring/I is the zero ring
+    n, mul = ring.order, ring.mul.tolist()
+    for ideal in all_ideals(ring):
+        inside = ideal.members.tolist()
+        want = [s for s in range(n) if all(inside) or (
+            not inside[s] and all(inside[y] for y in range(n) if inside[mul[s][y]]))]
+        assert regular_elements_mod(ring, ideal).tolist() == want
+
+
+def test_star_import_binds_every_public_name():
+    names = (
+        "Amalgam", "DottedSum", "FiniteRng", "FinringError", "Ideal", "Idealization",
+        "RingHom", "Subrng", "VerificationReport", "all_ideals", "amalgam",
+        "canonical_isos", "cpi_ideal", "cpi_prime", "d_plus_m", "direct_product",
+        "domain_criterion_check", "dorroh", "dorroh_check", "dotted_sum",
+        "dotted_transport", "duplication", "enumerate_homs", "evaluate", "find_iso",
+        "find_section", "from_tables", "galois_field", "generate_catalog", "guard_limit",
+        "ideal_from_generators", "identity_hom", "kernel", "localization", "main",
+        "n_amalgam", "nagata_idealization", "nilradical", "noetherian_report",
+        "noetherian_verdict_xjx", "parse", "pullback", "quotient_ring",
+        "reduced_criterion_check", "reports_to_json", "retraction_criterion_check",
+        "same_amalgam", "set_size_guard", "size_guard", "subring_generated", "trunc_poly",
+        "trunc_poly_amalgam", "verify_iso", "zmod",
+    )
+    namespace: dict = {}
+    exec("from finring import *", namespace)
+    assert [name for name in names if name not in namespace] == []
+    assert "annotations" not in namespace
+
+
 def test_all_ideals_of_product_ring():
     r = direct_product([zmod(2), zmod(2)])
     ideals = all_ideals(r)
